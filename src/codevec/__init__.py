@@ -10,7 +10,7 @@ from .errors import CodevecError
 from .metrics import Metrics, evaluate, score_pair
 from .minij import parse_methods, parse_mini
 from .model import (AttentionVariant, ForwardTrace, ModelDims, ModelParams,
-                    code_vector, forward, init_params, load_model,
+                    forward, init_params, load_model,
                     predict_topk, save_model)
 from .paths import (AstPath, ExtractionLimits, PathContext,
                     extract_path_contexts, path_from_string, path_to_string,
@@ -26,7 +26,7 @@ __all__ = [
     "encode_example", "load_dataset", "read_dataset", "split_subtokens",
     "write_dataset", "CodevecError", "Metrics", "evaluate", "score_pair",
     "parse_methods", "parse_mini", "AttentionVariant", "ForwardTrace",
-    "ModelDims", "ModelParams", "code_vector", "forward", "init_params",
+    "ModelDims", "ModelParams", "forward", "init_params",
     "load_model", "predict_topk", "save_model", "AstPath", "ExtractionLimits",
     "PathContext", "extract_path_contexts", "path_from_string",
     "path_to_string", "reverse_path", "method_to_example", "TrainConfig",

@@ -9,15 +9,6 @@ from dataclasses import dataclass
 
 from .errors import SExprError
 
-# Node kinds emitted by the built-in MiniJ parser. Trees read from
-# S-expressions may use kinds outside this set.
-MINIJ_KINDS = frozenset({
-    "MethodDecl", "Parameter", "Block", "VarDecl", "AssignExpr", "IfStmt",
-    "WhileStmt", "Foreach", "Return", "Call", "FieldAccess", "BinaryExpr",
-    "UnaryExpr", "NameExpr", "IntegerLiteralExpr", "StringLiteralExpr",
-    "BooleanExpr", "Type", "Name", "ArrayAccess",
-})
-
 STRING_SENTINEL = "STR"
 EMPTY_SENTINEL = "EMPTY"
 

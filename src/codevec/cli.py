@@ -1,5 +1,5 @@
-"""Command-line surface: extract, vocab, train, predict, eval, nearest,
-combine, analogy. Exit codes: 1 usage, 2 data, 3 numeric failure."""
+"""Command-line surface: extract, train, predict, eval, nearest, combine,
+analogy. Exit codes: 1 usage, 2 data, 3 numeric failure."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import sys
 
 from .ast_tree import read_sexpr_asts
 from .corpus import (ABLATIONS, RawExample, build_vocabs, encode_example,
-                     example_rng, load_dataset, save_vocabs, write_dataset)
+                     example_rng, load_dataset, write_dataset)
 from .errors import CodevecError, TrainingError
 from .metrics import evaluate
 from .minij import parse_methods
@@ -72,15 +72,6 @@ def cmd_extract(args) -> int:
     return EXIT_DATA if failures else 0
 
 
-def cmd_vocab(args) -> int:
-    dataset = load_dataset(args.input)
-    vocabs = build_vocabs(dataset, args.max_values, args.max_paths, args.max_tags)
-    save_vocabs(vocabs, args.output)
-    print(f"values={len(vocabs.values)} paths={len(vocabs.paths)} "
-          f"tags={len(vocabs.tags)} (including PAD/UNK)", file=sys.stderr)
-    return 0
-
-
 def cmd_train(args) -> int:
     train_set = load_dataset(args.train)
     val_set = load_dataset(args.val) if args.val else train_set
@@ -89,9 +80,7 @@ def cmd_train(args) -> int:
         learning_rate=args.lr, batch_size=args.batch, max_epochs=args.epochs,
         patience=args.patience, dropout_rate=args.dropout, k_max=args.kmax,
         seed=args.seed, variant=AttentionVariant(args.variant),
-        ablation=ABLATIONS[args.ablation], dim=args.dim,
-        max_grad_norm=args.clip_norm,
-        resample_contexts=not args.freeze_contexts)
+        ablation=ABLATIONS[args.ablation], dim=args.dim)
 
     def checkpoint(epoch, params):
         if args.checkpoints:
@@ -190,12 +179,6 @@ def _add_limits(parser) -> None:
     parser.add_argument("--max-width", type=int, default=2)
 
 
-def _add_cutoffs(parser) -> None:
-    parser.add_argument("--max-values", type=int, default=50_000)
-    parser.add_argument("--max-paths", type=int, default=50_000)
-    parser.add_argument("--max-tags", type=int, default=10_000)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="codevec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -205,12 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o")
     _add_limits(p)
     p.set_defaults(func=cmd_extract)
-
-    p = sub.add_parser("vocab", help="build frequency-ranked vocabularies")
-    p.add_argument("input")
-    p.add_argument("--output", "-o", required=True)
-    _add_cutoffs(p)
-    p.set_defaults(func=cmd_vocab)
 
     p = sub.add_parser("train", help="train a model on a dataset file")
     p.add_argument("--train", required=True)
@@ -227,13 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
                    default="soft")
     p.add_argument("--ablation", choices=sorted(ABLATIONS), default="full")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--clip-norm", type=float, default=None)
     p.add_argument("--checkpoints", action="store_true",
                    help="also save a .ckpt-<epoch> model after each epoch")
-    p.add_argument("--freeze-contexts", action="store_true",
-                   help="keep one context subsample per example instead of "
-                        "resampling each epoch")
-    _add_cutoffs(p)
+    p.add_argument("--max-values", type=int, default=50_000)
+    p.add_argument("--max-paths", type=int, default=50_000)
+    p.add_argument("--max-tags", type=int, default=10_000)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="predict names for methods in input files")

@@ -166,6 +166,14 @@ def encode_example(raw: RawExample, vocabs: Vocabs, k_max: int,
     return EncodedExample(vocabs.tags.id_of(raw.label), sources, paths, targets, mask)
 
 
+def encode_dataset(examples: list[RawExample], vocabs: Vocabs, k_max: int,
+                   seed: int, ablation: AblationMask,
+                   epoch: int = 0) -> list[EncodedExample]:
+    """Encode every example with its own `example_rng(seed, i, epoch)`."""
+    return [encode_example(raw, vocabs, k_max, example_rng(seed, i, epoch), ablation)
+            for i, raw in enumerate(examples)]
+
+
 # --- dataset line format ---------------------------------------------------
 #
 # One example per line: `<label> <ctx> <ctx> ...`, each <ctx> being
@@ -210,7 +218,7 @@ def load_dataset(path: str) -> list[RawExample]:
         return list(read_dataset(handle))
 
 
-# --- vocabulary file format -------------------------------------------------
+# --- vocabulary block format (embedded in the model file) --------------------
 #
 # `<kind>\t<entry>\t<count>` lines, frequency-descending, kinds grouped as
 # value / path / tag. Reserved PAD and UNK entries are implicit.
@@ -242,12 +250,3 @@ def parse_vocabs(text: str) -> Vocabs:
     return Vocabs(values=Vocab(buckets["value"]), paths=Vocab(buckets["path"]),
                   tags=Vocab(buckets["tag"]))
 
-
-def save_vocabs(vocabs: Vocabs, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(format_vocabs(vocabs))
-
-
-def load_vocabs(path: str) -> Vocabs:
-    with open(path, encoding="utf-8") as handle:
-        return parse_vocabs(handle.read())

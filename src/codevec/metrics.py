@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corpus import (ABLATIONS, AblationMask, EncodedExample, RawExample,
-                     Vocabs, encode_example, example_rng, split_subtokens)
+                     Vocabs, encode_dataset, split_subtokens)
 from .errors import DatasetFormatError
 from .model import ModelParams, predict_topk
 
@@ -69,16 +69,22 @@ class MetricsAccumulator:
 
 
 def evaluate_encoded(params: ModelParams, encoded: list[EncodedExample],
-                     labels: list[str], vocabs: Vocabs) -> Metrics:
+                     labels: list[str], vocabs: Vocabs,
+                     per_example: list | None = None) -> Metrics:
     """Score top-1 predictions for already-encoded examples. Examples with
-    no contexts cannot be predicted and count as all-false-negative."""
+    no contexts cannot be predicted and count as all-false-negative.
+
+    When `per_example` is a list, (true, predicted, tp, fp, fn) tuples are
+    appended to it.
+    """
     acc = MetricsAccumulator()
     for example, label in zip(encoded, labels):
-        if not example.trainable:
-            acc.add("", label)
-            continue
-        (top_tag, _), = predict_topk(params, example, 1, vocabs)
-        acc.add(top_tag, label)
+        predicted = ""
+        if example.trainable:
+            (predicted, _), = predict_topk(params, example, 1, vocabs)
+        counts = acc.add(predicted, label)
+        if per_example is not None:
+            per_example.append((label, predicted, *counts))
     return acc.result()
 
 
@@ -87,24 +93,12 @@ def evaluate(params: ModelParams, dataset: list[RawExample], vocabs: Vocabs,
              ablation: AblationMask = ABLATIONS["full"],
              per_example: list | None = None) -> Metrics:
     """Evaluate a trained model over a raw dataset (deterministic: context
-    subsampling uses per-example seeded generators).
-
-    When `per_example` is a list, (true, predicted, tp, fp, fn) tuples are
-    appended to it.
-    """
+    subsampling uses per-example seeded generators); see `evaluate_encoded`
+    for `per_example`."""
     if not dataset:
         raise DatasetFormatError("empty dataset")
     if k_max is None:
         k_max = params.dims.k_max
-    acc = MetricsAccumulator()
-    for i, raw in enumerate(dataset):
-        encoded = encode_example(raw, vocabs, k_max, example_rng(seed, i), ablation)
-        if not encoded.trainable:
-            counts = acc.add("", raw.label)
-            predicted = ""
-        else:
-            (predicted, _), = predict_topk(params, encoded, 1, vocabs)
-            counts = acc.add(predicted, raw.label)
-        if per_example is not None:
-            per_example.append((raw.label, predicted, *counts))
-    return acc.result()
+    encoded = encode_dataset(dataset, vocabs, k_max, seed, ablation)
+    return evaluate_encoded(params, encoded, [raw.label for raw in dataset],
+                            vocabs, per_example)

@@ -357,24 +357,10 @@ def parse_methods(source: str) -> list[Ast]:
     if not source.strip():
         raise MiniJSyntaxError("empty input", 1, 1)
     parser = _Parser(source)
-    roots = []
+    methods = []
     while parser.peek().kind != "eof":
         if not parser.at_method_decl():
             raise parser.error("expected a method declaration")
-        roots.append(parser.parse_method())
-    # Each method gets its own Ast; rebuild per root over a shared pool
-    # would leak unrelated nodes, so reparse is done per subtree instead.
-    return [_extract_subtree(parser.builder, root) for root in roots]
-
-
-def _extract_subtree(builder: AstBuilder, root: int) -> Ast:
-    nodes = builder._nodes
-    fresh = AstBuilder()
-
-    def copy(node_id: int) -> int:
-        node = nodes[node_id]
-        if node.is_terminal:
-            return fresh.terminal(node.kind, node.value)
-        return fresh.nonterminal(node.kind, [copy(c) for c in node.children])
-
-    return fresh.build(copy(root))
+        parser.builder = AstBuilder()
+        methods.append(parser.builder.build(parser.parse_method()))
+    return methods

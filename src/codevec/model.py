@@ -55,11 +55,7 @@ class ModelParams:
     path_vocab: np.ndarray   # (|P|, d)
     W: np.ndarray | None     # (d, 3d); absent for the no-FC variant
     attention: np.ndarray    # (d,), (3d,) for no-FC, (d, d) for element-wise
-    tags_vocab: np.ndarray   # (|Y|, combined_dim)
-
-    @property
-    def combined_dim(self) -> int:
-        return 3 * self.dims.d if self.variant is AttentionVariant.SOFT_NO_FC else self.dims.d
+    tags_vocab: np.ndarray   # (|Y|, d), (|Y|, 3d) for no-FC
 
     def groups(self) -> dict[str, np.ndarray]:
         """Named learnable arrays, in declaration order."""
@@ -231,11 +227,6 @@ def forward(params: ModelParams, example: EncodedExample, mode: str = "infer",
                         logits, q, mask, kind)
 
 
-def code_vector(params: ModelParams, example: EncodedExample) -> np.ndarray:
-    """The aggregated snippet vector, computed in inference mode."""
-    return forward(params, example, mode="infer").code_vector
-
-
 def predict_topk(params: ModelParams, example: EncodedExample, k: int,
                  vocabs: Vocabs | None = None):
     """Top-k tags by probability, ties broken by tag id ascending. Returns
@@ -251,7 +242,7 @@ def predict_topk(params: ModelParams, example: EncodedExample, k: int,
 # --- binary model format -----------------------------------------------------
 #
 # magic 'C2V1'; little-endian u32 [variant code, d, |X|, |P|, |Y|, k_max];
-# u32-length-prefixed UTF-8 vocab file content; matrices in declaration
+# u32-length-prefixed UTF-8 vocabulary block; matrices in declaration
 # order, row-major float32 little-endian.
 
 MAGIC = b"C2V1"

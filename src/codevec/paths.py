@@ -157,7 +157,3 @@ def reverse_path(path: AstPath) -> AstPath:
     """Mirror a path: reversed kinds, flipped and reversed directions."""
     flipped = tuple(DOWN if d == UP else UP for d in reversed(path.directions))
     return AstPath(tuple(reversed(path.kinds)), flipped)
-
-
-def reverse_context(ctx: PathContext) -> PathContext:
-    return PathContext(ctx.target_value, reverse_path(ctx.path), ctx.source_value)

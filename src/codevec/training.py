@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import (ABLATIONS, PAD_ID, AblationMask, RawExample, Vocabs,
-                     EncodedExample, encode_example, example_rng)
+                     EncodedExample, encode_dataset)
 from .errors import TrainingError
 from .metrics import evaluate_encoded
 from .model import (AttentionVariant, ForwardTrace, ModelDims, ModelParams,
@@ -36,14 +36,6 @@ class Gradients:
     def add_(self, other: "Gradients") -> "Gradients":
         for name, arr in other.by_name.items():
             self.by_name[name] += arr
-        return self
-
-    def global_norm(self) -> float:
-        return float(np.sqrt(sum(float((g ** 2).sum()) for g in self.by_name.values())))
-
-    def scale_(self, factor: float) -> "Gradients":
-        for arr in self.by_name.values():
-            arr *= factor
         return self
 
 
@@ -138,8 +130,6 @@ class TrainConfig:
     variant: AttentionVariant = AttentionVariant.SOFT
     ablation: AblationMask = ABLATIONS["full"]
     dim: int = 128
-    max_grad_norm: float | None = None  # off by default; 5.0 is a sane value
-    resample_contexts: bool = True  # fresh k_max sample each epoch
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -180,13 +170,6 @@ class EpochStats:
                 f"val_f1={self.val_f1:.4f}")
 
 
-def encode_dataset(examples: list[RawExample], vocabs: Vocabs, k_max: int,
-                   seed: int, ablation: AblationMask,
-                   epoch: int = 0) -> list[EncodedExample]:
-    return [encode_example(raw, vocabs, k_max, example_rng(seed, i, epoch), ablation)
-            for i, raw in enumerate(examples)]
-
-
 def train(train_set: list[RawExample], val_set: list[RawExample], vocabs: Vocabs,
           config: TrainConfig, log=None, checkpoint=None,
           ) -> tuple[ModelParams, list[EpochStats]]:
@@ -218,9 +201,8 @@ def train(train_set: list[RawExample], val_set: list[RawExample], vocabs: Vocabs
         log(f"warning: {untrainable} examples have no contexts and are skipped")
 
     for epoch in range(1, config.max_epochs + 1):
-        encode_epoch = epoch if config.resample_contexts else 0
         encoded = encode_dataset(train_set, vocabs, config.k_max, config.seed,
-                                 config.ablation, epoch=encode_epoch)
+                                 config.ablation, epoch=epoch)
         order = shuffle_rng.permutation(len(encoded))
         order = [i for i in order if encoded[i].trainable]
 
@@ -238,10 +220,6 @@ def train(train_set: list[RawExample], val_set: list[RawExample], vocabs: Vocabs
                         f"loss={example_loss}, q_max={trace.q.max():.3e}")
                 epoch_loss += example_loss
                 grads.add_(backward(params, encoded[i], trace, encoded[i].label_id))
-            if config.max_grad_norm is not None:
-                norm = grads.global_norm()
-                if norm > config.max_grad_norm:
-                    grads.scale_(config.max_grad_norm / norm)
             adam_step(params, grads, state, config)
 
         metrics = evaluate_encoded(params, val_encoded, val_labels, vocabs)

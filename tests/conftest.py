@@ -62,8 +62,19 @@ def random_path(rng: np.random.Generator) -> AstPath:
 
 
 def oracle_path_contexts(ast: Ast, limits: ExtractionLimits) -> Counter:
-    """Brute-force reference: walk root-paths for every terminal pair and
-    filter by length and pivot width. Returns a multiset of string triples."""
+    """Multiset of the brute-force string triples."""
+    return Counter(oracle_path_context_list(ast, limits))
+
+
+def oracle_path_context_list(ast: Ast, limits: ExtractionLimits,
+                             excluded: int | None = None) -> list:
+    """Brute-force reference: walk root-paths for every terminal pair i < j
+    in DFS order and filter by length and pivot width. Returns the string
+    triples in pair order.
+
+    `excluded` is a node treated as deleted: it contributes no terminals,
+    and its later siblings' child indices move down by one.
+    """
     parent = {}
     terminals = []
 
@@ -72,8 +83,9 @@ def oracle_path_contexts(ast: Ast, limits: ExtractionLimits) -> Counter:
         if node.value is not None:
             terminals.append(node_id)
         for child in node.children:
-            parent[child] = node_id
-            visit(child)
+            if child != excluded:
+                parent[child] = node_id
+                visit(child)
 
     visit(ast.root)
 
@@ -83,7 +95,7 @@ def oracle_path_contexts(ast: Ast, limits: ExtractionLimits) -> Counter:
             path.append(parent[path[-1]])
         return path[::-1]  # root .. node
 
-    result = Counter()
+    result = []
     for i in range(len(terminals)):
         for j in range(i + 1, len(terminals)):
             rp_a = root_path(terminals[i])
@@ -95,7 +107,7 @@ def oracle_path_contexts(ast: Ast, limits: ExtractionLimits) -> Counter:
             if length > limits.max_length:
                 continue
             pivot = rp_a[m - 1]
-            pivot_children = ast.node(pivot).children
+            pivot_children = [c for c in ast.node(pivot).children if c != excluded]
             width = abs(pivot_children.index(rp_a[m]) - pivot_children.index(rp_b[m]))
             if width > limits.max_width:
                 continue
@@ -108,8 +120,8 @@ def oracle_path_contexts(ast: Ast, limits: ExtractionLimits) -> Counter:
                 pieces.append(ast.node(node_id).kind)
             node_a = ast.node(terminals[i])
             node_b = ast.node(terminals[j])
-            result[(normalize_value(node_a.kind, node_a.value), "".join(pieces),
-                    normalize_value(node_b.kind, node_b.value))] += 1
+            result.append((normalize_value(node_a.kind, node_a.value), "".join(pieces),
+                           normalize_value(node_b.kind, node_b.value)))
     return result
 
 

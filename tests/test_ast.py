@@ -94,10 +94,14 @@ class TestMiniJParser:
         assert err.value.line == 2
 
     def test_parse_methods_splits_file(self):
-        asts = parse_methods(
-            "int a(int x) { return x; }\nint b(int y) { return y; }")
+        sources = ["int a(int x) { return x; }",
+                   "int b(int y) { return y + 1; }"]
+        asts = parse_methods("\n".join(sources))
         assert len(asts) == 2
         assert [a.node(a.node(a.root).children[1]).value for a in asts] == ["a", "b"]
+        # each tree holds only its own method's nodes
+        assert [len(a.nodes) for a in asts] == [len(parse_mini(s).nodes)
+                                                for s in sources]
 
     def test_empty_block_rejected(self):
         with pytest.raises(MiniJSyntaxError, match="empty block"):

@@ -77,18 +77,10 @@ class TestExtract:
 
 
 class TestVocab:
-    def test_build_and_report(self, dataset_file, tmp_path, capsys):
-        out = tmp_path / "vocab.tsv"
-        assert main(["vocab", str(dataset_file), "-o", str(out)]) == 0
-        err = capsys.readouterr().err
-        assert "values=" in err and "tags=" in err
-        lines = out.read_text().splitlines()
-        assert all(len(line.split("\t")) == 3 for line in lines)
-
     def test_bad_dataset(self, tmp_path):
         bad = tmp_path / "bad.c2v"
         bad.write_text("label only,two\n", encoding="utf-8")
-        assert main(["vocab", str(bad), "-o", str(tmp_path / "v.tsv")]) == 2
+        assert main(["train", "--train", str(bad), "-o", str(tmp_path / "m.bin")]) == 2
 
 
 class TestTrainPredictEval:
@@ -101,6 +93,16 @@ class TestTrainPredictEval:
         err = capsys.readouterr().err
         assert "epoch=1 loss=" in err and "val_f1=" in err
         assert out.exists()
+
+    def test_checkpoints_saved_per_epoch(self, dataset_file, tmp_path):
+        out = tmp_path / "m.bin"
+        assert main(["train", "--train", str(dataset_file), "-o", str(out),
+                     "--dim", "8", "--kmax", "20", "--epochs", "2",
+                     "--patience", "2", "--seed", "1", "--checkpoints"]) == 0
+        _, vocabs = load_model(str(out))
+        for epoch in (1, 2):
+            params, ckpt_vocabs = load_model(f"{out}.ckpt-{epoch}")
+            assert params.dims.d == 8 and ckpt_vocabs == vocabs
 
     def test_training_deterministic_on_disk(self, dataset_file, tmp_path):
         paths = []

@@ -6,9 +6,8 @@ import pytest
 from codevec.corpus import (PAD_ID, EncodedExample, RawExample,
                             build_vocabs, encode_example, example_rng)
 from codevec.errors import ModelFormatError
-from codevec.model import (AttentionVariant, ModelDims, ModelParams,
-                           code_vector, forward, init_params, load_model,
-                           predict_topk, save_model)
+from codevec.model import (AttentionVariant, ModelDims, ModelParams, forward,
+                           init_params, load_model, predict_topk, save_model)
 from codevec.paths import PathContext, path_from_string
 
 from conftest import random_encoded
@@ -231,13 +230,6 @@ class TestPredict:
         assert predict_topk(mixed, example, 3) == predict_topk(hard, example, 3)
         soft_trace = forward(mixed, example, mode="train")
         assert 0.0 < soft_trace.alpha.max() < 1.0
-
-    def test_code_vector_matches_infer_forward(self):
-        rng = np.random.default_rng(11)
-        params = init_params(DIMS, AttentionVariant.SOFT, 4)
-        example = random_encoded(rng, DIMS)
-        assert (code_vector(params, example)
-                == forward(params, example).code_vector).all()
 
 
 def tiny_vocabs():

@@ -5,18 +5,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codevec.ast_tree import AstBuilder
 from codevec.minij import parse_mini
-from codevec.paths import (DOWN, UP, AstPath, ExtractionLimits,
+from codevec.paths import (DOWN, UP, AstPath, ExtractionLimits, PathContext,
                            extract_path_contexts, path_from_string,
-                           path_to_string, reverse_context, reverse_path)
+                           path_to_string, reverse_path)
+from codevec.pipeline import method_to_example
 
-from conftest import (NONTERMINAL_KINDS, TERMINAL_KINDS, oracle_path_contexts,
+from conftest import (NONTERMINAL_KINDS, TERMINAL_KINDS,
+                      oracle_path_context_list, oracle_path_contexts,
                       random_ast, random_path)
 
 
 def as_triples(contexts):
     return [(c.source_value, path_to_string(c.path), c.target_value)
             for c in contexts]
+
+
+def reverse_context(ctx: PathContext) -> PathContext:
+    return PathContext(ctx.target_value, reverse_path(ctx.path), ctx.source_value)
+
+
+def random_method(rng: np.random.Generator):
+    """A MethodDecl over random subtrees: an optional leading Type, the Name
+    terminal, then 1-4 random subtrees. Returns (ast, name node id)."""
+    builder = AstBuilder()
+
+    def copy(ast, node_id):
+        node = ast.node(node_id)
+        if node.is_terminal:
+            return builder.terminal(node.kind, node.value)
+        return builder.nonterminal(node.kind, [copy(ast, c) for c in node.children])
+
+    children = [builder.terminal("Type", "int")] if rng.random() < 0.5 else []
+    name = builder.terminal("Name", "methodName")
+    children.append(name)
+    for _ in range(int(rng.integers(1, 5))):
+        sub = random_ast(rng, max_terminals=6)
+        children.append(copy(sub, sub.root))
+    return builder.build(builder.nonterminal("MethodDecl", children)), name
 
 
 class TestExtraction:
@@ -88,6 +115,22 @@ class TestExtraction:
         # DFS terminal order: boolean, f, Object, t, true
         assert sources == sorted(sources, key=["boolean", "f", "Object",
                                                "t", "true"].index)
+
+    def test_method_contexts_in_brute_force_order(self):
+        # Sampling in encode_example picks by position, so the order of
+        # method_to_example's contexts matters, not just their multiset.
+        rng = np.random.default_rng(31)
+        total = 0
+        for _ in range(150):
+            ast, name = random_method(rng)
+            limits = ExtractionLimits(int(rng.integers(2, 9)),
+                                      int(rng.integers(0, 4)))
+            example = method_to_example(ast, limits)
+            assert example.label == "methodName"
+            expected = oracle_path_context_list(ast, limits, excluded=name)
+            assert as_triples(example.contexts) == expected
+            total += len(expected)
+        assert total > 1000
 
 
 class TestPathStrings:
