@@ -17,7 +17,7 @@ from .paths import (AstPath, ExtractionLimits, PathContext,
                     reverse_path)
 from .pipeline import method_to_example
 from .training import TrainConfig, adam_step, backward, loss, train
-from .vectors import NameVectorTable, cosine, export_vectors
+from .vectors import NameVectorTable, cosine
 
 __all__ = [
     "Ast", "AstBuilder", "AstNode", "normalize_value", "read_sexpr_ast",
@@ -31,5 +31,4 @@ __all__ = [
     "PathContext", "extract_path_contexts", "path_from_string",
     "path_to_string", "reverse_path", "method_to_example", "TrainConfig",
     "adam_step", "backward", "loss", "train", "NameVectorTable", "cosine",
-    "export_vectors",
 ]

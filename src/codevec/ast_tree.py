@@ -5,7 +5,7 @@ produced by external parsers."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import SExprError
 
@@ -46,49 +46,59 @@ class AstNode:
 
 @dataclass(frozen=True)
 class Ast:
-    """Immutable AST over an indexed node pool."""
+    """Immutable AST over an indexed node pool.
+
+    Construction walks the pool once from the root and rejects it unless it
+    is one tree: every child id in range, no node reached twice, every node
+    reached. The walk is kept: `order` lists node ids depth-first, left to
+    right; `parent` (-1 for the root), `child_index` and `depth` are indexed
+    by node id.
+    """
 
     nodes: tuple[AstNode, ...]
     root: int
+    order: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    parent: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    child_index: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    depth: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        self.validate()
+        size = len(self.nodes)
+        if not (0 <= self.root < size):
+            raise ValueError("root id out of range")
+        parent = [-1] * size
+        child_index = [0] * size
+        depth = [0] * size
+        reached = [False] * size
+        reached[self.root] = True
+        order = []
+        stack = [self.root]
+        while stack:
+            node_id = stack.pop()
+            order.append(node_id)
+            children = self.nodes[node_id].children
+            for idx, child in enumerate(children):
+                if not (0 <= child < size):
+                    raise ValueError("child id out of range")
+                if reached[child]:
+                    raise ValueError(f"node {child} is reached twice")
+                reached[child] = True
+                parent[child] = node_id
+                child_index[child] = idx
+                depth[child] = depth[node_id] + 1
+            stack.extend(reversed(children))
+        if len(order) != size:
+            raise ValueError(f"{size - len(order)} nodes are unreachable from the root")
+        for name, value in (("order", order), ("parent", parent),
+                            ("child_index", child_index), ("depth", depth)):
+            object.__setattr__(self, name, tuple(value))
 
     def node(self, node_id: int) -> AstNode:
         return self.nodes[node_id]
 
-    def validate(self) -> None:
-        """Check the structural invariants: single root, every non-root node
-        in exactly one child list, ordered contiguous children."""
-        if not (0 <= self.root < len(self.nodes)):
-            raise ValueError("root id out of range")
-        parent_count = [0] * len(self.nodes)
-        for node in self.nodes:
-            for child in node.children:
-                if not (0 <= child < len(self.nodes)):
-                    raise ValueError("child id out of range")
-                parent_count[child] += 1
-        for i, count in enumerate(parent_count):
-            if i == self.root:
-                if count != 0:
-                    raise ValueError("root appears in a child list")
-            elif count != 1:
-                raise ValueError(f"node {i} appears in {count} child lists")
-        # Reachability follows from the counts: n nodes, n-1 edges, all
-        # pointing away from a unique root.
-
     def terminals(self) -> list[int]:
         """Ids of all value-bearing nodes in depth-first left-to-right order."""
-        out = []
-        stack = [self.root]
-        while stack:
-            node_id = stack.pop()
-            node = self.nodes[node_id]
-            if node.is_terminal:
-                out.append(node_id)
-            else:
-                stack.extend(reversed(node.children))
-        return out
+        return [n for n in self.order if self.nodes[n].is_terminal]
 
 
 class AstBuilder:
@@ -113,18 +123,15 @@ def structurally_equal(a: Ast, b: Ast) -> bool:
     """True when two trees have the same shape, kinds, and values.
 
     Node ids are an internal detail, so tuple equality on the pools is not
-    a meaningful comparison.
+    a meaningful comparison. The depth-first (kind, value, arity) sequence
+    determines an ordered tree.
     """
 
-    def eq(na: int, nb: int) -> bool:
-        node_a, node_b = a.node(na), b.node(nb)
-        if node_a.kind != node_b.kind or node_a.value != node_b.value:
-            return False
-        if len(node_a.children) != len(node_b.children):
-            return False
-        return all(eq(ca, cb) for ca, cb in zip(node_a.children, node_b.children))
+    def shape(ast: Ast):
+        return [(n.kind, n.value, len(n.children))
+                for n in map(ast.nodes.__getitem__, ast.order)]
 
-    return eq(a.root, b.root)
+    return shape(a) == shape(b)
 
 
 # --- S-expression format -------------------------------------------------
@@ -216,12 +223,18 @@ def _escape(value: str) -> str:
 
 def write_sexpr_ast(ast: Ast) -> str:
     """Serialize an Ast to its canonical S-expression form."""
-
-    def emit(node_id: int) -> str:
-        node = ast.node(node_id)
+    parts = []
+    open_count = 0  # unclosed nonterminals: the ancestors of the next node
+    for node_id in ast.order:
+        depth = ast.depth[node_id]
+        if node_id != ast.root:
+            parts.append(")" * (open_count - depth) + " ")
+        node = ast.nodes[node_id]
         if node.is_terminal:
-            return f'({node.kind} "{_escape(node.value)}")'
-        inner = " ".join(emit(c) for c in node.children)
-        return f"({node.kind} {inner})"
-
-    return emit(ast.root)
+            parts.append(f'({node.kind} "{_escape(node.value)}")')
+            open_count = depth
+        else:
+            parts.append(f"({node.kind}")
+            open_count = depth + 1
+    parts.append(")" * open_count)
+    return "".join(parts)

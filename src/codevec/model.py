@@ -7,7 +7,7 @@ Every intermediate is exposed for backprop and inspection.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -66,19 +66,14 @@ class ModelParams:
         out["tags_vocab"] = self.tags_vocab
         return out
 
+    def _map(self, fn) -> "ModelParams":
+        return replace(self, **{name: fn(arr) for name, arr in self.groups().items()})
+
     def copy(self) -> "ModelParams":
-        return ModelParams(self.dims, self.variant, self.value_vocab.copy(),
-                           self.path_vocab.copy(),
-                           None if self.W is None else self.W.copy(),
-                           self.attention.copy(), self.tags_vocab.copy())
+        return self._map(lambda arr: arr.copy())
 
     def astype(self, dtype) -> "ModelParams":
-        return ModelParams(self.dims, self.variant,
-                           self.value_vocab.astype(dtype),
-                           self.path_vocab.astype(dtype),
-                           None if self.W is None else self.W.astype(dtype),
-                           self.attention.astype(dtype),
-                           self.tags_vocab.astype(dtype))
+        return self._map(lambda arr: arr.astype(dtype))
 
 
 @dataclass
@@ -103,28 +98,29 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...], dtype=np.float64):
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
+def _shapes(dims: ModelDims, variant: AttentionVariant) -> dict[str, tuple[int, ...]]:
+    """Shape of each learnable group, in declaration order."""
+    d = dims.d
+    shapes = {"value_vocab": (dims.num_values, d), "path_vocab": (dims.num_paths, d)}
+    if variant is AttentionVariant.SOFT_NO_FC:
+        shapes["attention"] = (3 * d,)
+        shapes["tags_vocab"] = (dims.num_tags, 3 * d)
+    else:
+        shapes["W"] = (d, 3 * d)
+        shapes["attention"] = (d, d) if variant is AttentionVariant.ELEMENT_WISE else (d,)
+        shapes["tags_vocab"] = (dims.num_tags, d)
+    return shapes
+
+
 def init_params(dims: ModelDims, variant: AttentionVariant, seed: int,
                 dtype=np.float64) -> ModelParams:
     """Glorot-uniform initialization, deterministic per seed; PAD rows zero."""
     rng = np.random.default_rng(seed)
-    d = dims.d
-    value_vocab = _glorot(rng, (dims.num_values, d), dtype)
-    path_vocab = _glorot(rng, (dims.num_paths, d), dtype)
-    if variant is AttentionVariant.SOFT_NO_FC:
-        W = None
-        attention = _glorot(rng, (3 * d,), dtype)
-        tags_vocab = _glorot(rng, (dims.num_tags, 3 * d), dtype)
-    else:
-        W = _glorot(rng, (d, 3 * d), dtype)
-        if variant is AttentionVariant.ELEMENT_WISE:
-            attention = _glorot(rng, (d, d), dtype)
-        else:
-            attention = _glorot(rng, (d,), dtype)
-        tags_vocab = _glorot(rng, (dims.num_tags, d), dtype)
-    value_vocab[PAD_ID] = 0.0
-    path_vocab[PAD_ID] = 0.0
-    tags_vocab[PAD_ID] = 0.0
-    return ModelParams(dims, variant, value_vocab, path_vocab, W, attention, tags_vocab)
+    groups = {name: _glorot(rng, shape, dtype)
+              for name, shape in _shapes(dims, variant).items()}
+    for name in ("value_vocab", "path_vocab", "tags_vocab"):
+        groups[name][PAD_ID] = 0.0
+    return ModelParams(dims, variant, **{"W": None, **groups})
 
 
 def _masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -248,14 +244,6 @@ def predict_topk(params: ModelParams, example: EncodedExample, k: int,
 MAGIC = b"C2V1"
 
 
-def _matrix_order(params: ModelParams):
-    mats = [params.value_vocab, params.path_vocab]
-    if params.W is not None:
-        mats.append(params.W)
-    mats.extend([params.attention, params.tags_vocab])
-    return mats
-
-
 def save_model(path: str, params: ModelParams, vocabs: Vocabs) -> None:
     """Write the model in single precision together with its vocabularies."""
     dims = params.dims
@@ -267,7 +255,7 @@ def save_model(path: str, params: ModelParams, vocabs: Vocabs) -> None:
                                  dims.k_max))
         handle.write(struct.pack("<I", len(vocab_blob)))
         handle.write(vocab_blob)
-        for matrix in _matrix_order(params):
+        for matrix in params.groups().values():
             handle.write(np.ascontiguousarray(matrix, dtype="<f4").tobytes())
 
 
@@ -301,19 +289,9 @@ def load_model(path: str) -> tuple[ModelParams, Vocabs]:
             offset += 4 * count
             return arr.reshape(shape).astype(np.float32)
 
-        value_vocab = take((nx, d))
-        path_vocab = take((np_, d))
-        if variant is AttentionVariant.SOFT_NO_FC:
-            W = None
-            attention = take((3 * d,))
-            tags_vocab = take((ny, 3 * d))
-        else:
-            W = take((d, 3 * d))
-            attention = take((d, d)) if variant is AttentionVariant.ELEMENT_WISE else take((d,))
-            tags_vocab = take((ny, d))
+        groups = {name: take(shape) for name, shape in _shapes(dims, variant).items()}
         if offset != len(data):
             raise ModelFormatError("trailing bytes after matrices")
     except struct.error as exc:
         raise ModelFormatError(f"truncated model file: {exc}") from None
-    return ModelParams(dims, variant, value_vocab, path_vocab, W, attention,
-                       tags_vocab), vocabs
+    return ModelParams(dims, variant, **{"W": None, **groups}), vocabs

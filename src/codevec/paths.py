@@ -64,69 +64,43 @@ def extract_path_contexts(ast: Ast, limits: ExtractionLimits) -> list[PathContex
     Width is the child-index difference at the pivot between the two
     branches the path occupies.
     """
-    size = len(ast.nodes)
-    parent = [-1] * size
-    child_index = [0] * size
-    depth = [0] * size
-    order = []
-    stack = [ast.root]
-    while stack:
-        node_id = stack.pop()
-        order.append(node_id)
-        node = ast.node(node_id)
-        for idx, child in enumerate(node.children):
-            parent[child] = node_id
-            child_index[child] = idx
-            depth[child] = depth[node_id] + 1
-        stack.extend(reversed(node.children))
-
-    terminals = [n for n in order if ast.node(n).is_terminal]
-    values = {n: normalize_value(ast.node(n).kind, ast.node(n).value) for n in terminals}
-
+    terminals = ast.terminals()
+    values = {n: normalize_value(ast.nodes[n].kind, ast.nodes[n].value)
+              for n in terminals}
     out: list[PathContext] = []
-    for i in range(len(terminals)):
-        for j in range(i + 1, len(terminals)):
-            ctx = _pair_context(ast, terminals[i], terminals[j], parent,
-                                child_index, depth, values, limits)
+    for i, left in enumerate(terminals):
+        for right in terminals[i + 1:]:
+            ctx = _pair_context(ast, left, right, values, limits)
             if ctx is not None:
                 out.append(ctx)
     return out
 
 
-def _pair_context(ast, left, right, parent, child_index, depth, values, limits):
-    length = depth[left] + depth[right]
+def _pair_context(ast, left, right, values, limits):
+    # Climb both ends to the pivot, keeping the nodes passed on each side;
+    # the last of each is the pivot's child on that branch. Terminals are
+    # leaves, so neither side is empty.
+    parent, depth = ast.parent, ast.depth
     a, b = left, right
-    up_kinds = []
-    down_kinds = []
+    ups: list[int] = []
+    downs: list[int] = []
     while depth[a] > depth[b]:
-        up_kinds.append(ast.node(a).kind)
+        ups.append(a)
         a = parent[a]
     while depth[b] > depth[a]:
-        down_kinds.append(ast.node(b).kind)
+        downs.append(b)
         b = parent[b]
     while a != b:
-        up_kinds.append(ast.node(a).kind)
-        down_kinds.append(ast.node(b).kind)
+        ups.append(a)
+        downs.append(b)
         a = parent[a]
         b = parent[b]
-    pivot = a
-    length -= 2 * depth[pivot]
-    if length > limits.max_length:
+    if len(ups) + len(downs) > limits.max_length:
         return None
-    # Child indices of the pivot's two occupied branches: the last node
-    # appended on each side before reaching the pivot.
-    ups = depth[left] - depth[pivot]
-    left_branch = left
-    for _ in range(ups - 1):
-        left_branch = parent[left_branch]
-    right_branch = right
-    for _ in range(depth[right] - depth[pivot] - 1):
-        right_branch = parent[right_branch]
-    if abs(child_index[left_branch] - child_index[right_branch]) > limits.max_width:
+    if abs(ast.child_index[ups[-1]] - ast.child_index[downs[-1]]) > limits.max_width:
         return None
-    kinds = tuple(up_kinds) + (ast.node(pivot).kind,) + tuple(reversed(down_kinds))
-    directions = (UP,) * ups + (DOWN,) * (depth[right] - depth[pivot])
-    path = AstPath(kinds, directions)
+    kinds = tuple(ast.nodes[n].kind for n in ups + [a] + downs[::-1])
+    path = AstPath(kinds, (UP,) * len(ups) + (DOWN,) * len(downs))
     return PathContext(values[left], path, values[right])
 
 

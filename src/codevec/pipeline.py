@@ -4,40 +4,42 @@ and emits the dataset example."""
 
 from __future__ import annotations
 
-from .ast_tree import Ast, AstBuilder
+from .ast_tree import Ast, AstNode
 from .corpus import RawExample
 from .errors import CodevecError
 from .paths import ExtractionLimits, extract_path_contexts
 
 
-def method_label(ast: Ast) -> str:
-    """The declared name of a MethodDecl tree (case preserved)."""
+def _name_child(ast: Ast) -> int:
+    """Id of the MethodDecl root's Name terminal."""
     root = ast.node(ast.root)
     if root.kind != "MethodDecl":
         raise CodevecError(f"expected a MethodDecl root, found {root.kind!r}")
     for child_id in root.children:
         child = ast.node(child_id)
         if child.kind == "Name" and child.is_terminal:
-            return child.value
+            return child_id
     raise CodevecError("MethodDecl has no Name terminal")
 
 
+def method_label(ast: Ast) -> str:
+    """The declared name of a MethodDecl tree (case preserved)."""
+    return ast.node(_name_child(ast)).value
+
+
 def strip_method_name(ast: Ast) -> Ast:
-    """Copy of the tree without the MethodDecl's Name child."""
-    root = ast.node(ast.root)
-    name_id = next(c for c in root.children
-                   if ast.node(c).kind == "Name" and ast.node(c).is_terminal)
-    builder = AstBuilder()
-
-    def copy(node_id: int) -> int:
-        node = ast.node(node_id)
-        if node.is_terminal:
-            return builder.terminal(node.kind, node.value)
-        kept = [copy(c) for c in node.children
-                if not (node_id == ast.root and c == name_id)]
-        return builder.nonterminal(node.kind, kept)
-
-    return builder.build(copy(ast.root))
+    """The tree without the MethodDecl's Name child: the pool minus that
+    node, with every id above it shifted down by one."""
+    name_id = _name_child(ast)
+    nodes = []
+    for node_id, node in enumerate(ast.nodes):
+        if node_id == name_id:
+            continue
+        if node.children:
+            node = AstNode(node.kind, tuple(c - (c > name_id) for c in node.children
+                                            if c != name_id))
+        nodes.append(node)
+    return Ast(tuple(nodes), ast.root - (ast.root > name_id))
 
 
 def method_to_example(ast: Ast, limits: ExtractionLimits) -> RawExample:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import PAD_ID, UNK_ID, Vocabs
-from .errors import DatasetFormatError, VectorQueryError
+from .errors import VectorQueryError
 from .model import ModelParams
 
 
@@ -107,37 +107,3 @@ def sum_of_cosines_ranking(table: NameVectorTable, name_a: str, name_b: str,
     b = table.vector(name_b)
     scores = np.array([cosine(a, v) + cosine(b, v) for v in table.vectors])
     return table._ranked(scores, {name_a, name_b}, k)
-
-
-def export_vectors(params: ModelParams, vocabs: Vocabs) -> str:
-    """One `<tag> <f1> ... <fd>` line per real tag, 9 significant digits."""
-    lines = []
-    for idx in range(len(vocabs.tags)):
-        if idx in (PAD_ID, UNK_ID):
-            continue
-        row = " ".join(f"{x:.9g}" for x in params.tags_vocab[idx])
-        lines.append(f"{vocabs.tags.entry(idx)} {row}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_vectors(text: str) -> NameVectorTable:
-    names, rows = [], []
-    width = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line:
-            continue
-        fields = line.split(" ")
-        if len(fields) < 2:
-            raise DatasetFormatError(f"vectors line {lineno}: malformed")
-        if width is None:
-            width = len(fields) - 1
-        elif len(fields) - 1 != width:
-            raise DatasetFormatError(f"vectors line {lineno}: inconsistent width")
-        names.append(fields[0])
-        try:
-            rows.append([float(x) for x in fields[1:]])
-        except ValueError:
-            raise DatasetFormatError(f"vectors line {lineno}: bad float") from None
-    if not names:
-        raise DatasetFormatError("empty vectors file")
-    return NameVectorTable(names, np.array(rows))

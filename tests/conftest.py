@@ -61,6 +61,21 @@ def random_path(rng: np.random.Generator) -> AstPath:
     return AstPath(tuple(kinds), directions)
 
 
+def deep_method(depth: int) -> Ast:
+    """`int deep(int x) { return x; }` with `depth` UnaryExpr nodes around
+    the returned `x`. The Name terminal gets an id between the chain and the
+    later root children, so stripping it renumbers both sides."""
+    builder = AstBuilder()
+    node = builder.terminal("NameExpr", "x")
+    for _ in range(depth):
+        node = builder.nonterminal("UnaryExpr", [node])
+    children = [builder.terminal("Type", "int"), builder.terminal("Name", "deep"),
+                builder.nonterminal("Parameter", [builder.terminal("Type", "int"),
+                                                  builder.terminal("Name", "x")]),
+                builder.nonterminal("Block", [builder.nonterminal("Return", [node])])]
+    return builder.build(builder.nonterminal("MethodDecl", children))
+
+
 def oracle_path_contexts(ast: Ast, limits: ExtractionLimits) -> Counter:
     """Multiset of the brute-force string triples."""
     return Counter(oracle_path_context_list(ast, limits))

@@ -6,8 +6,10 @@ from codevec.ast_tree import (Ast, AstBuilder, AstNode, normalize_value,
                               structurally_equal, write_sexpr_ast)
 from codevec.errors import MiniJSyntaxError, SExprError
 from codevec.minij import parse_methods, parse_mini
+from codevec.paths import ExtractionLimits, path_to_string
+from codevec.pipeline import method_to_example
 
-from conftest import random_ast
+from conftest import deep_method, random_ast
 
 
 class TestAstModel:
@@ -29,6 +31,27 @@ class TestAstModel:
         inner = AstNode("Block", (0, 0))
         with pytest.raises(ValueError):
             Ast((leaf, inner), 1)
+
+    def test_unreachable_cycle_rejected(self):
+        # n nodes and n-1 edges, one parent each, yet 2 and 3 form a cycle
+        # that the root cannot reach
+        nodes = (AstNode("R", (1,)), AstNode("T", (), "x"),
+                 AstNode("A", (3,)), AstNode("B", (2,)))
+        with pytest.raises(ValueError):
+            Ast(nodes, 0)
+
+    def test_deep_tree_needs_no_recursion(self):
+        depth = 3000  # three times the interpreter's default recursion limit
+        ast = deep_method(depth)
+        assert write_sexpr_ast(ast).count("(UnaryExpr") == depth
+        assert structurally_equal(ast, deep_method(depth))
+        assert not structurally_equal(ast, deep_method(depth - 1))
+        example = method_to_example(ast, ExtractionLimits(max_length=depth + 5))
+        assert example.label == "deep"
+        deep = [c for c in example.contexts if c.path.length > 8]
+        assert [(c.source_value, c.path.length, c.target_value) for c in deep] == [
+            ("int", depth + 4, "x"), ("int", depth + 5, "x"), ("x", depth + 5, "x")]
+        assert path_to_string(deep[0].path).startswith("Type^MethodDecl_Block_Return_")
 
     def test_terminals_dfs_order(self):
         ast = parse_mini("x = 7;")
@@ -147,8 +170,7 @@ class TestSExpr:
 
     def test_round_trip_random_trees(self):
         rng = np.random.default_rng(7)
-        for _ in range(1000):
-            ast = random_ast(rng)
+        for ast in [random_ast(rng) for _ in range(1000)] + [deep_method(600)]:
             text = write_sexpr_ast(ast)
             again = read_sexpr_ast(text)
             assert structurally_equal(ast, again)

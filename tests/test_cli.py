@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from codevec.ast_tree import write_sexpr_ast
 from codevec.cli import main
 from codevec.corpus import load_dataset
 from codevec.model import AttentionVariant, load_model
 
-from conftest import toy_minij_corpus
+from conftest import deep_method, toy_minij_corpus
 
 
 @pytest.fixture(scope="module")
@@ -65,15 +66,18 @@ class TestExtract:
         assert "bad.mj" in capsys.readouterr().err
 
     def test_sexpr_input(self, tmp_path, capsys):
+        # the second tree nests 600 deep: extraction must not recurse per level
         src = tmp_path / "tree.sexpr"
         src.write_text(
             '(MethodDecl (Type "int") (Name "getX") '
-            '(Block (Return (NameExpr "x"))))\n', encoding="utf-8")
+            '(Block (Return (NameExpr "x"))))\n'
+            + write_sexpr_ast(deep_method(600)) + "\n", encoding="utf-8")
         out = tmp_path / "o.c2v"
         assert main(["extract", str(src), "-o", str(out)]) == 0
-        (example,) = load_dataset(str(out))
-        assert example.label == "getX"
-        assert example.contexts
+        assert "Traceback" not in capsys.readouterr().err
+        examples = load_dataset(str(out))
+        assert [ex.label for ex in examples] == ["getX", "deep"]
+        assert all(ex.contexts for ex in examples)
 
 
 class TestVocab:

@@ -279,9 +279,8 @@ class TestSerialization:
 
     def test_truncated(self, tmp_path):
         params, vocabs = self.make_model(AttentionVariant.SOFT)
-        path = str(tmp_path / "model.bin")
-        save_model(path, params, vocabs)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-10])
+        path = tmp_path / "model.bin"
+        save_model(str(path), params, vocabs)
+        path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(ModelFormatError):
-            load_model(path)
+            load_model(str(path))

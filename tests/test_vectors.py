@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from codevec.corpus import PAD_ID, UNK_ID, RawExample, build_vocabs
-from codevec.errors import DatasetFormatError, VectorQueryError
+from codevec.errors import VectorQueryError
 from codevec.model import AttentionVariant, ModelDims, init_params
 from codevec.paths import PathContext, path_from_string
-from codevec.vectors import (NameVectorTable, cosine, export_vectors,
-                             parse_vectors, sum_of_cosines_ranking)
+from codevec.vectors import NameVectorTable, cosine, sum_of_cosines_ranking
 
 
 def random_table(rng, n=12, d=6):
@@ -175,43 +174,3 @@ class TestTableConstruction:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             NameVectorTable(["a"], np.ones((2, 3)))
-
-
-class TestExportParse:
-    def make_params(self):
-        examples = [RawExample(label, [PathContext("x", path_from_string("A^M_B"), "7")])
-                    for label in ("alpha", "beta", "gamma")]
-        vocabs = build_vocabs(examples)
-        dims = ModelDims(5, len(vocabs.values), len(vocabs.paths),
-                         len(vocabs.tags), 3)
-        return init_params(dims, AttentionVariant.SOFT, 7), vocabs
-
-    def test_round_trip_preserves_rankings(self):
-        params, vocabs = self.make_params()
-        table = NameVectorTable.from_params(params, vocabs)
-        again = parse_vectors(export_vectors(params, vocabs))
-        assert again.names == table.names
-        assert np.allclose(again.vectors, table.vectors, rtol=1e-8)
-        assert (again.nearest("alpha", 2) == table.nearest("alpha", 2)
-                or [n for n, _ in again.nearest("alpha", 2)]
-                == [n for n, _ in table.nearest("alpha", 2)])
-
-    def test_line_format(self):
-        params, vocabs = self.make_params()
-        first = export_vectors(params, vocabs).splitlines()[0]
-        fields = first.split(" ")
-        assert fields[0] == vocabs.tags.entry(2)
-        assert len(fields) == 1 + params.dims.d
-        float(fields[1])
-
-    def test_parse_rejects_ragged_lines(self):
-        with pytest.raises(DatasetFormatError):
-            parse_vectors("a 1 2 3\nb 1 2\n")
-
-    def test_parse_rejects_bad_float(self):
-        with pytest.raises(DatasetFormatError):
-            parse_vectors("a 1 x\n")
-
-    def test_parse_rejects_empty(self):
-        with pytest.raises(DatasetFormatError):
-            parse_vectors("")
