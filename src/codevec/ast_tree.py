@@ -166,52 +166,55 @@ def read_sexpr_ast(text: str) -> Ast:
 
 
 def read_sexpr_asts(text: str) -> list[Ast]:
-    """Parse a sequence of S-expression trees (e.g. one file, many methods)."""
+    """Parse a sequence of S-expression trees (e.g. one file, many methods).
+
+    One loop over the tokens with an explicit stack of open nodes, so the
+    nesting depth is bounded by memory, not by the interpreter's stack.
+    """
     tokens = _tokenize_sexpr(text)
-    pos = 0
-
-    def parse_node(builder: AstBuilder) -> int:
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos] != "(":
-            raise SExprError("expected '('")
-        pos += 1
-        if pos >= len(tokens) or tokens[pos] in '()' or tokens[pos].startswith('"'):
-            raise SExprError("expected node kind after '('")
-        kind = tokens[pos]
-        pos += 1
-        children: list[int] = []
-        value: str | None = None
-        while pos < len(tokens) and tokens[pos] != ")":
-            tok = tokens[pos]
-            if tok == "(":
-                if value is not None:
-                    raise SExprError(f"terminal {kind!r} may not have children")
-                children.append(parse_node(builder))
-            elif tok.startswith('"'):
-                if children:
-                    raise SExprError(f"nonterminal {kind!r} may not carry a value")
-                if value is not None:
-                    raise SExprError(f"node {kind!r} has multiple values")
-                value = tok[1:-1].replace('\\"', '"').replace("\\\\", "\\")
-                pos += 1
-            else:
-                raise SExprError(f"unexpected token {tok!r} inside node {kind!r}")
-        if pos >= len(tokens):
-            raise SExprError("unbalanced parentheses: missing ')'")
-        pos += 1  # consume ')'
-        if value is not None:
-            return builder.terminal(kind, value)
-        if not children:
-            raise SExprError(f"nonterminal {kind!r} must have at least one child")
-        return builder.nonterminal(kind, children)
-
     asts = []
+    builder = AstBuilder()
+    # [kind, child ids, value] of each node whose ')' is still to come,
+    # outermost first. Nodes enter the pool at their ')': children first.
+    open_nodes: list[list] = []
+    pos = 0
     while pos < len(tokens):
-        if tokens[pos] == ")":
-            raise SExprError("unbalanced parentheses: stray ')'")
-        builder = AstBuilder()
-        root = parse_node(builder)
-        asts.append(builder.build(root))
+        tok = tokens[pos]
+        if tok == "(":
+            if open_nodes and open_nodes[-1][2] is not None:
+                raise SExprError(f"terminal {open_nodes[-1][0]!r} may not have children")
+            pos += 1
+            if pos >= len(tokens) or tokens[pos] in '()' or tokens[pos].startswith('"'):
+                raise SExprError("expected node kind after '('")
+            open_nodes.append([tokens[pos], [], None])
+        elif not open_nodes:
+            raise SExprError("unbalanced parentheses: stray ')'" if tok == ")"
+                             else "expected '('")
+        elif tok == ")":
+            kind, children, value = open_nodes.pop()
+            if value is not None:
+                node_id = builder.terminal(kind, value)
+            elif not children:
+                raise SExprError(f"nonterminal {kind!r} must have at least one child")
+            else:
+                node_id = builder.nonterminal(kind, children)
+            if open_nodes:
+                open_nodes[-1][1].append(node_id)
+            else:
+                asts.append(builder.build(node_id))
+                builder = AstBuilder()
+        elif tok.startswith('"'):
+            kind, children, value = open_nodes[-1]
+            if children:
+                raise SExprError(f"nonterminal {kind!r} may not carry a value")
+            if value is not None:
+                raise SExprError(f"node {kind!r} has multiple values")
+            open_nodes[-1][2] = tok[1:-1].replace('\\"', '"').replace("\\\\", "\\")
+        else:
+            raise SExprError(f"unexpected token {tok!r} inside node {open_nodes[-1][0]!r}")
+        pos += 1
+    if open_nodes:
+        raise SExprError("unbalanced parentheses: missing ')'")
     if not asts:
         raise SExprError("empty input")
     return asts

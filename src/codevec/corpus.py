@@ -74,7 +74,11 @@ class RawExample:
 
 @dataclass
 class EncodedExample:
-    label_id: int
+    """One encoded example, or a batch of them stacked by `stack_examples`:
+    then `label_id` is a (B,) array and every other array gains a leading
+    batch axis."""
+
+    label_id: int | np.ndarray
     sources: np.ndarray  # (k_max,) int
     paths: np.ndarray
     targets: np.ndarray
@@ -83,6 +87,15 @@ class EncodedExample:
     @property
     def trainable(self) -> bool:
         return bool(self.mask.any())
+
+
+def stack_examples(examples: list[EncodedExample]) -> EncodedExample:
+    """The examples as one batch with a leading batch axis."""
+    return EncodedExample(np.array([e.label_id for e in examples]),
+                          np.stack([e.sources for e in examples]),
+                          np.stack([e.paths for e in examples]),
+                          np.stack([e.targets for e in examples]),
+                          np.stack([e.mask for e in examples]))
 
 
 @dataclass(frozen=True)

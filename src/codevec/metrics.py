@@ -4,10 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .corpus import (ABLATIONS, AblationMask, EncodedExample, RawExample,
                      Vocabs, encode_dataset, split_subtokens)
 from .errors import DatasetFormatError
-from .model import ModelParams, predict_topk
+from .model import ModelParams, forward
 
 UNK_SUBTOKEN = "unk"
 
@@ -72,7 +74,9 @@ def evaluate_encoded(params: ModelParams, encoded: list[EncodedExample],
                      labels: list[str], vocabs: Vocabs,
                      per_example: list | None = None) -> Metrics:
     """Score top-1 predictions for already-encoded examples. Examples with
-    no contexts cannot be predicted and count as all-false-negative.
+    no contexts cannot be predicted and count as all-false-negative. The
+    top-1 tag is the first maximum of q, so the lowest id wins ties, as in
+    `predict_topk`.
 
     When `per_example` is a list, (true, predicted, tp, fp, fn) tuples are
     appended to it.
@@ -81,7 +85,7 @@ def evaluate_encoded(params: ModelParams, encoded: list[EncodedExample],
     for example, label in zip(encoded, labels):
         predicted = ""
         if example.trainable:
-            (predicted, _), = predict_topk(params, example, 1, vocabs)
+            predicted = vocabs.tags.entry(int(np.argmax(forward(params, example).q)))
         counts = acc.add(predicted, label)
         if per_example is not None:
             per_example.append((label, predicted, *counts))

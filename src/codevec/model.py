@@ -78,8 +78,9 @@ class ModelParams:
 
 @dataclass
 class ForwardTrace:
-    """Per-example intermediates. Rows of padded slots are zero; `alpha` is
-    (k,) for scalar attention or (k, d) for element-wise."""
+    """Forward-pass intermediates. Rows of padded slots are zero; `alpha` is
+    (k,) for scalar attention or (k, d) for element-wise. The shapes are
+    those of one example; a stacked batch adds a leading batch axis."""
 
     context_vectors: np.ndarray   # (k, 3d) after dropout scaling
     dropout_scale: np.ndarray     # (k, 3d) multiplier applied to raw contexts
@@ -123,24 +124,12 @@ def init_params(dims: ModelDims, variant: AttentionVariant, seed: int,
     return ModelParams(dims, variant, **{"W": None, **groups})
 
 
-def _masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Softmax over slots where mask is 1; masked slots get exactly zero.
-
-    Works per column when logits is (k, d). Max-subtraction keeps the exp
-    in range for large scores.
-    """
-    valid = mask.astype(bool)
-    if logits.ndim == 2:
-        valid = valid[:, None]
-    shifted = np.where(valid, logits, -np.inf)
-    exp = np.exp(shifted - shifted.max(axis=0))
-    return exp / exp.sum(axis=0)
-
-
-def _stable_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    exp = np.exp(shifted)
-    return exp / exp.sum()
+def _masked_softmax(scores: np.ndarray, valid: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax along the slot axis over valid slots; invalid slots get
+    exactly zero. Max-subtraction keeps the exp in range for large scores."""
+    shifted = np.where(valid, scores, -np.inf)
+    exp = np.exp(shifted - shifted.max(axis=axis, keepdims=True))
+    return exp / exp.sum(axis=axis, keepdims=True)
 
 
 def _attention_kind(variant: AttentionVariant, mode: str) -> str:
@@ -158,7 +147,9 @@ def _attention_kind(variant: AttentionVariant, mode: str) -> str:
 def forward(params: ModelParams, example: EncodedExample, mode: str = "infer",
             dropout_rate: float = 0.0, rng: np.random.Generator | None = None,
             dropout_mask: np.ndarray | None = None) -> ForwardTrace:
-    """Compute the full forward pass for one encoded example.
+    """Compute the full forward pass for one encoded example, or for a
+    batch stacked by `corpus.stack_examples`: its arrays carry a leading
+    batch axis, and so does every array of the trace.
 
     In train mode, inverted dropout with the given rate is applied to the
     context vectors (kept entries scaled by 1/keep); pass `dropout_mask`
@@ -167,14 +158,15 @@ def forward(params: ModelParams, example: EncodedExample, mode: str = "infer",
     if mode not in ("train", "infer"):
         raise ValueError(f"unknown mode {mode!r}")
     mask = example.mask.astype(params.value_vocab.dtype)
-    if not mask.any():
+    valid = mask.astype(bool)
+    if not valid.any(axis=-1).all():
         raise ValueError("all slots are masked; nothing to aggregate")
 
     contexts = np.concatenate([
         params.value_vocab[example.sources],
         params.path_vocab[example.paths],
         params.value_vocab[example.targets],
-    ], axis=1) * mask[:, None]
+    ], axis=-1) * mask[..., None]
 
     if mode == "train" and dropout_rate > 0.0:
         keep = 1.0 - dropout_rate
@@ -190,34 +182,32 @@ def forward(params: ModelParams, example: EncodedExample, mode: str = "infer",
     if params.variant is AttentionVariant.SOFT_NO_FC:
         combined = contexts
     else:
-        combined = np.tanh(contexts @ params.W.T) * mask[:, None]
+        combined = np.tanh(contexts @ params.W.T) * mask[..., None]
 
     kind = _attention_kind(params.variant, mode)
     if kind == "uniform":
-        alpha = mask / mask.sum()
+        alpha = mask / mask.sum(axis=-1, keepdims=True)
     elif kind == "elementwise":
         scores = combined @ params.attention  # (k, d); column j scored by a_j
-        alpha = _masked_softmax(scores, mask)
+        alpha = _masked_softmax(scores, valid[..., None], axis=-2)
     else:
         scores = combined @ params.attention  # (k,)
         if kind == "hard":
-            alpha = np.zeros_like(scores)
             # Lowest index wins ties: argmax on a masked array returns the
             # first occurrence of the maximum.
-            alpha[np.argmax(np.where(mask.astype(bool), scores, -np.inf))] = 1.0
+            best = np.argmax(np.where(valid, scores, -np.inf), axis=-1)
+            alpha = (np.arange(scores.shape[-1]) == best[..., None]).astype(scores.dtype)
         else:
-            alpha = _masked_softmax(scores, mask)
+            alpha = _masked_softmax(scores, valid, axis=-1)
 
     if kind == "elementwise":
-        code_vector = (alpha * combined).sum(axis=0)
+        code_vector = (alpha * combined).sum(axis=-2)
     else:
-        code_vector = alpha @ combined
+        code_vector = (alpha[..., None, :] @ combined)[..., 0, :]
 
-    logits = params.tags_vocab @ code_vector
-    logits_masked = logits.copy()
-    logits_masked[PAD_ID] = -np.inf  # PAD is never a real label
-    q = _stable_softmax(logits_masked)
-    q[PAD_ID] = 0.0
+    logits = code_vector @ params.tags_vocab.T
+    # PAD is never a real label: q[PAD] == 0.
+    q = _masked_softmax(logits, np.arange(logits.shape[-1]) != PAD_ID, axis=-1)
 
     return ForwardTrace(contexts, scale, combined, alpha, code_vector,
                         logits, q, mask, kind)
@@ -226,13 +216,19 @@ def forward(params: ModelParams, example: EncodedExample, mode: str = "infer",
 def predict_topk(params: ModelParams, example: EncodedExample, k: int,
                  vocabs: Vocabs | None = None):
     """Top-k tags by probability, ties broken by tag id ascending. Returns
-    (tag string, probability) pairs when vocabs is given, else tag ids."""
-    trace = forward(params, example, mode="infer")
-    k = min(k, len(trace.q))
-    ranked = np.lexsort((np.arange(len(trace.q)), -trace.q))[:k]
+    (tag string, probability) pairs when vocabs is given, else tag ids.
+
+    Only the shortlist of tags scoring at least the k-th largest
+    probability is sorted; it keeps every tie that straddles position k.
+    """
+    q = forward(params, example, mode="infer").q
+    k = min(k, len(q))
+    kth = q[np.argpartition(-q, k - 1)[k - 1]]
+    shortlist = np.flatnonzero(q >= kth)
+    ranked = shortlist[np.lexsort((shortlist, -q[shortlist]))][:k]
     if vocabs is None:
-        return [(int(i), float(trace.q[i])) for i in ranked]
-    return [(vocabs.tags.entry(int(i)), float(trace.q[i])) for i in ranked]
+        return [(int(i), float(q[i])) for i in ranked]
+    return [(vocabs.tags.entry(int(i)), float(q[i])) for i in ranked]
 
 
 # --- binary model format -----------------------------------------------------
@@ -292,6 +288,9 @@ def load_model(path: str) -> tuple[ModelParams, Vocabs]:
         groups = {name: take(shape) for name, shape in _shapes(dims, variant).items()}
         if offset != len(data):
             raise ModelFormatError("trailing bytes after matrices")
+        for name, matrix in groups.items():
+            if not np.isfinite(matrix).all():
+                raise ModelFormatError(f"non-finite values in {name}")
     except struct.error as exc:
         raise ModelFormatError(f"truncated model file: {exc}") from None
     return ModelParams(dims, variant, **{"W": None, **groups}), vocabs

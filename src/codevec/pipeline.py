@@ -44,7 +44,10 @@ def strip_method_name(ast: Ast) -> Ast:
 
 def method_to_example(ast: Ast, limits: ExtractionLimits) -> RawExample:
     """Dataset example for one method: label from the declaration, contexts
-    extracted from the body with the name terminal removed."""
+    extracted from the body with the name terminal removed. A MethodDecl
+    whose only child is its Name has no contexts."""
     label = method_label(ast)
+    if len(ast.node(ast.root).children) == 1:
+        return RawExample(label, [])
     stripped = strip_method_name(ast)
     return RawExample(label, extract_path_contexts(stripped, limits))

@@ -1,5 +1,5 @@
-"""Cross-entropy loss, reverse-mode gradients of the forward pass, Adam
-updates, and the epoch loop with sub-token-F1 early stopping.
+"""Cross-entropy loss, reverse-mode gradients of the forward pass, lazy
+Adam updates, and the epoch loop with sub-token-F1 early stopping.
 """
 
 from __future__ import annotations
@@ -9,96 +9,113 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import (ABLATIONS, PAD_ID, AblationMask, RawExample, Vocabs,
-                     EncodedExample, encode_dataset)
+                     EncodedExample, encode_dataset, stack_examples)
 from .errors import TrainingError
 from .metrics import evaluate_encoded
 from .model import (AttentionVariant, ForwardTrace, ModelDims, ModelParams,
                     forward, init_params)
 
+# Parameter groups whose gradients are row-sparse: an example touches at
+# most 3 * k_max of their rows.
+EMBEDDINGS = ("value_vocab", "path_vocab")
 
-def loss(trace: ForwardTrace, label_id: int) -> float:
+
+def loss(trace: ForwardTrace, label_id) -> float | np.ndarray:
     """Negative log-likelihood of the true label under the predicted
-    distribution."""
-    return float(-np.log(trace.q[label_id]))
+    distribution; one per example for a stacked batch."""
+    picked = np.take_along_axis(trace.q, np.expand_dims(label_id, -1), axis=-1)
+    return -np.log(picked[..., 0])
 
 
 @dataclass
 class Gradients:
-    """Same shapes as the parameter groups; embedding rows not touched by
-    the example stay exactly zero."""
+    """`by_name` holds W, attention and tags_vocab densely; `rows` holds
+    each embedding table's gradient as (unique row ids, summed row
+    gradients), PAD excluded, so untouched rows cost nothing."""
 
     by_name: dict[str, np.ndarray]
+    rows: dict[str, tuple[np.ndarray, np.ndarray]]
 
     @classmethod
     def zeros_like(cls, params: ModelParams) -> "Gradients":
-        return cls({name: np.zeros_like(arr) for name, arr in params.groups().items()})
+        """Zero dense groups, and no touched embedding rows."""
+        groups = params.groups()
+        return cls({name: np.zeros_like(arr) for name, arr in groups.items()
+                    if name not in EMBEDDINGS},
+                   {name: (np.empty(0, np.int64),
+                           np.empty((0, groups[name].shape[1]), groups[name].dtype))
+                    for name in EMBEDDINGS})
 
-    def add_(self, other: "Gradients") -> "Gradients":
-        for name, arr in other.by_name.items():
-            self.by_name[name] += arr
-        return self
+
+def _sum_rows(ids: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unique non-PAD ids, and for each the sum of its rows."""
+    keep = ids != PAD_ID
+    unique, inverse = np.unique(ids[keep], return_inverse=True)
+    summed = np.zeros((len(unique), rows.shape[-1]), rows.dtype)
+    np.add.at(summed, inverse, rows[keep])
+    return unique, summed
+
+
+def _flat(arr: np.ndarray) -> np.ndarray:
+    """All leading axes merged into one: (..., n) -> (m, n)."""
+    return arr.reshape(-1, arr.shape[-1])
 
 
 def backward(params: ModelParams, example: EncodedExample, trace: ForwardTrace,
-             label_id: int) -> Gradients:
-    """Exact gradients of the loss for the trace's attention kind.
+             label_id) -> Gradients:
+    """Exact gradients of the loss for the trace's attention kind. For a
+    stacked batch they are the sums of the per-example gradients.
 
     Hard attention is handled straight-through: the gradient flows through
     the selected combined vector only, none through the selection itself.
     """
     grads = Gradients.zeros_like(params)
     g = grads.by_name
-    mask_bool = trace.mask.astype(bool)
+    mask = trace.mask
     d = params.dims.d
 
     # softmax + NLL
     dz = trace.q.copy()
-    dz[label_id] -= 1.0
-    dz[PAD_ID] = 0.0  # PAD is excluded from the tag softmax
-    g["tags_vocab"] += np.outer(dz, trace.code_vector)
-    d_code = params.tags_vocab.T @ dz
+    dz -= np.arange(dz.shape[-1]) == np.expand_dims(label_id, -1)
+    dz[..., PAD_ID] = 0.0  # PAD is excluded from the tag softmax
+    g["tags_vocab"] = _flat(dz).T @ _flat(trace.code_vector)
+    d_code = dz @ params.tags_vocab
 
     h = trace.combined
     alpha = trace.alpha
     if trace.attention_kind == "elementwise":
-        d_alpha = h * d_code[None, :]
-        dh = alpha * d_code[None, :]
-        col_dot = (alpha * d_alpha).sum(axis=0)
-        de = alpha * (d_alpha - col_dot[None, :])
-        de *= trace.mask[:, None]
-        g["attention"] += h.T @ de
+        d_alpha = h * d_code[..., None, :]
+        dh = alpha * d_code[..., None, :]
+        col_dot = (alpha * d_alpha).sum(axis=-2, keepdims=True)
+        de = alpha * (d_alpha - col_dot) * mask[..., None]
+        g["attention"] = _flat(h).T @ _flat(de)
         dh += de @ params.attention.T
     elif trace.attention_kind == "soft":
-        d_alpha = h @ d_code
-        dh = alpha[:, None] * d_code[None, :]
-        de = alpha * (d_alpha - float(alpha @ d_alpha))
-        de *= trace.mask
-        g["attention"] += h.T @ de
-        dh += np.outer(de, params.attention)
+        d_alpha = (h @ d_code[..., None])[..., 0]
+        dh = alpha[..., None] * d_code[..., None, :]
+        de = alpha * (d_alpha - (alpha * d_alpha).sum(axis=-1, keepdims=True)) * mask
+        g["attention"] = de.reshape(-1) @ _flat(h)
+        dh += de[..., None] * params.attention
     else:
         # uniform: alpha constant in the inputs; hard: straight-through.
-        dh = alpha[:, None] * d_code[None, :]
+        dh = alpha[..., None] * d_code[..., None, :]
 
-    dh *= trace.mask[:, None]
+    dh *= mask[..., None]
 
     if params.variant is AttentionVariant.SOFT_NO_FC:
         d_contexts = dh
     else:
         du = dh * (1.0 - h ** 2)
-        g["W"] += du.T @ trace.context_vectors
+        g["W"] = _flat(du).T @ _flat(trace.context_vectors)
         d_contexts = du @ params.W
 
-    d_contexts = d_contexts * trace.dropout_scale * trace.mask[:, None]
-
-    valid = np.flatnonzero(mask_bool)
-    np.add.at(g["value_vocab"], example.sources[valid], d_contexts[valid, :d])
-    np.add.at(g["path_vocab"], example.paths[valid], d_contexts[valid, d:2 * d])
-    np.add.at(g["value_vocab"], example.targets[valid], d_contexts[valid, 2 * d:])
-
-    # Padded slots never contribute; keep the PAD rows bit-exactly zero.
-    g["value_vocab"][PAD_ID] = 0.0
-    g["path_vocab"][PAD_ID] = 0.0
-    g["tags_vocab"][PAD_ID] = 0.0
+    # Padded slots never contribute: only valid slots reach the tables.
+    valid = mask.astype(bool)
+    d_contexts = (d_contexts * trace.dropout_scale)[valid]
+    grads.rows["value_vocab"] = _sum_rows(
+        np.concatenate([example.sources[valid], example.targets[valid]]),
+        np.concatenate([d_contexts[:, :d], d_contexts[:, 2 * d:]]))
+    grads.rows["path_vocab"] = _sum_rows(example.paths[valid], d_contexts[:, d:2 * d])
     return grads
 
 
@@ -142,18 +159,26 @@ class TrainConfig:
 
 def adam_step(params: ModelParams, grads: Gradients, state: AdamState,
               config: TrainConfig) -> None:
-    """One bias-corrected Adam update, in place. PAD embedding rows have
-    zero gradient and zero moments, so they stay untouched."""
+    """One bias-corrected lazy Adam update, in place. Dense groups update
+    whole; an embedding table updates its parameters and both moments at
+    the touched rows only, so a row absent from the batch keeps all three,
+    and PAD rows, never touched, stay zero. Bias correction uses the
+    global step."""
     state.step += 1
     t = state.step
     b1, b2 = config.beta1, config.beta2
     for name, param in params.groups().items():
-        grad = grads.by_name[name]
-        state.m[name] = b1 * state.m[name] + (1 - b1) * grad
-        state.v[name] = b2 * state.v[name] + (1 - b2) * grad ** 2
-        m_hat = state.m[name] / (1 - b1 ** t)
-        v_hat = state.v[name] / (1 - b2 ** t)
-        param -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+        if name in grads.rows:
+            rows, grad = grads.rows[name]
+        else:
+            rows, grad = slice(None), grads.by_name[name]
+        m = b1 * state.m[name][rows] + (1 - b1) * grad
+        v = b2 * state.v[name][rows] + (1 - b2) * grad ** 2
+        state.m[name][rows] = m
+        state.v[name][rows] = v
+        m_hat = m / (1 - b1 ** t)
+        v_hat = v / (1 - b2 ** t)
+        param[rows] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
 
 
 @dataclass
@@ -209,18 +234,19 @@ def train(train_set: list[RawExample], val_set: list[RawExample], vocabs: Vocabs
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
-            grads = Gradients.zeros_like(params)
-            for i in batch:
-                trace = forward(params, encoded[i], mode="train",
-                                dropout_rate=config.dropout_rate, rng=dropout_rng)
-                example_loss = loss(trace, encoded[i].label_id)
-                if not np.isfinite(example_loss):
-                    raise TrainingError(
-                        f"non-finite loss at epoch {epoch}, example {i}: "
-                        f"loss={example_loss}, q_max={trace.q.max():.3e}")
-                epoch_loss += example_loss
-                grads.add_(backward(params, encoded[i], trace, encoded[i].label_id))
-            adam_step(params, grads, state, config)
+            stacked = stack_examples([encoded[i] for i in batch])
+            trace = forward(params, stacked, mode="train",
+                            dropout_rate=config.dropout_rate, rng=dropout_rng)
+            losses = loss(trace, stacked.label_id)
+            bad = np.flatnonzero(~np.isfinite(losses))
+            if bad.size:
+                j = bad[0]
+                raise TrainingError(
+                    f"non-finite loss at epoch {epoch}, example {batch[j]}: "
+                    f"loss={losses[j]}, q_max={trace.q[j].max():.3e}")
+            epoch_loss += float(losses.sum())
+            adam_step(params, backward(params, stacked, trace, stacked.label_id),
+                      state, config)
 
         metrics = evaluate_encoded(params, val_encoded, val_labels, vocabs)
         stats = EpochStats(epoch, epoch_loss / max(len(order), 1),

@@ -158,6 +158,17 @@ def random_encoded(rng: np.random.Generator, dims: ModelDims,
     return EncodedExample(label, sources, paths, targets, mask)
 
 
+def dense_gradients(params, grads) -> dict:
+    """Every group's gradient as a full array: the row-sparse embedding
+    gradients scattered into zeros."""
+    dense = dict(grads.by_name)
+    for name, (ids, rows) in grads.rows.items():
+        full = np.zeros_like(params.groups()[name])
+        full[ids] = rows
+        dense[name] = full
+    return dense
+
+
 # --- toy MiniJ corpus -------------------------------------------------------
 
 _METHOD_TEMPLATES = {

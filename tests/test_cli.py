@@ -4,7 +4,7 @@ import pytest
 from codevec.ast_tree import write_sexpr_ast
 from codevec.cli import main
 from codevec.corpus import load_dataset
-from codevec.model import AttentionVariant, load_model
+from codevec.model import AttentionVariant, load_model, save_model
 
 from conftest import deep_method, toy_minij_corpus
 
@@ -66,18 +66,31 @@ class TestExtract:
         assert "bad.mj" in capsys.readouterr().err
 
     def test_sexpr_input(self, tmp_path, capsys):
-        # the second tree nests 600 deep: extraction must not recurse per level
+        # the second tree nests 5000 deep: neither reading nor extraction
+        # may recurse per level
         src = tmp_path / "tree.sexpr"
         src.write_text(
             '(MethodDecl (Type "int") (Name "getX") '
             '(Block (Return (NameExpr "x"))))\n'
-            + write_sexpr_ast(deep_method(600)) + "\n", encoding="utf-8")
+            + write_sexpr_ast(deep_method(5000)) + "\n", encoding="utf-8")
         out = tmp_path / "o.c2v"
         assert main(["extract", str(src), "-o", str(out)]) == 0
         assert "Traceback" not in capsys.readouterr().err
         examples = load_dataset(str(out))
         assert [ex.label for ex in examples] == ["getX", "deep"]
         assert all(ex.contexts for ex in examples)
+
+
+    def test_method_without_body_has_no_contexts(self, tmp_path, capsys):
+        src = tmp_path / "tree.sexpr"
+        src.write_text('(MethodDecl (Type "int") (Name "getX") '
+                       '(Block (Return (NameExpr "x"))))\n'
+                       '(MethodDecl (Name "g"))\n', encoding="utf-8")
+        out = tmp_path / "o.c2v"
+        assert main(["extract", str(src), "-o", str(out)]) == 0
+        assert "1 without contexts" in capsys.readouterr().err
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 2 and lines[1] == "g"
 
 
 class TestVocab:
@@ -193,6 +206,26 @@ class TestTrainPredictEval:
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"NOTAMODEL")
         assert main(["eval", "--model", str(bad), str(dataset_file)]) == 2
+
+    def test_non_finite_model_is_data_error(self, model_file, corpus_file,
+                                            tmp_path, capsys):
+        params, vocabs = load_model(str(model_file))
+        params.W[0, 0] = np.inf
+        bad = tmp_path / "inf.bin"
+        save_model(str(bad), params, vocabs)
+        assert main(["predict", "--model", str(bad), str(corpus_file)]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_is_numeric_failure(self, dataset_file, tmp_path,
+                                                capsys):
+        out = tmp_path / "m.bin"
+        assert main(["train", "--train", str(dataset_file), "-o", str(out),
+                     "--dim", "8", "--kmax", "20", "--lr", "1e300"]) == 3
+        err = capsys.readouterr().err
+        assert "non-finite loss at epoch" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("variant", [v.value for v in AttentionVariant])
     def test_all_variants_train_and_reload(self, variant, dataset_file,

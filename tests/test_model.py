@@ -220,6 +220,24 @@ class TestPredict:
         example = random_encoded(rng, DIMS)
         assert len(predict_topk(params, example, 100)) == DIMS.num_tags
 
+    @pytest.mark.parametrize("k", [1, 3, 5, 12])
+    def test_ties_ranked_by_id_like_a_full_sort(self, k):
+        # Tag rows copied within a class give exactly equal probabilities.
+        # Class sizes 2, 2, 3, 2, 2 over ids 1..11 (PAD last, q = 0) put
+        # ties across positions 1, 3 and 5 and below them.
+        dims = ModelDims(d=4, num_values=6, num_paths=5, num_tags=12, k_max=5)
+        rng = np.random.default_rng(11)
+        params = init_params(dims, AttentionVariant.SOFT, 4)
+        example = random_encoded(rng, dims)
+        code = forward(params, example).code_vector
+        ids = rng.permutation(np.arange(1, 12))
+        for cls, members in enumerate(np.split(ids, [2, 4, 7, 9])):
+            params.tags_vocab[members] = (3.0 - cls) * code / (code @ code)
+        q = forward(params, example).q
+        assert q[ids[4]] == q[ids[5]] == q[ids[6]] > q[ids[7]] == q[ids[8]]
+        full = np.lexsort((np.arange(len(q)), -q))[:k]
+        assert predict_topk(params, example, k) == [(int(i), float(q[i])) for i in full]
+
     def test_train_soft_predict_hard_uses_hard_at_inference(self):
         rng = np.random.default_rng(10)
         example = random_encoded(rng, DIMS, n_valid=4)
@@ -270,6 +288,14 @@ class TestSerialization:
             example = random_encoded(rng, params.dims)
             assert predict_topk(params, example, 3) == predict_topk(
                 loaded, example, 3)
+
+    def test_non_finite_matrix_rejected(self, tmp_path):
+        params, vocabs = self.make_model(AttentionVariant.SOFT)
+        params.W[1, 2] = np.nan
+        path = str(tmp_path / "model.bin")
+        save_model(path, params, vocabs)
+        with pytest.raises(ModelFormatError, match="non-finite values in W"):
+            load_model(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from codevec.corpus import (PAD_ID, EncodedExample, RawExample,
-                            build_vocabs)
+                            build_vocabs, stack_examples)
 from codevec.errors import TrainingError
 from codevec.metrics import evaluate
 from codevec.minij import parse_mini
@@ -12,7 +12,7 @@ from codevec.pipeline import method_to_example
 from codevec.training import (AdamState, Gradients, TrainConfig, adam_step,
                               backward, loss, train)
 
-from conftest import random_encoded, toy_minij_corpus
+from conftest import dense_gradients, random_encoded, toy_minij_corpus
 
 DIMS = ModelDims(d=3, num_values=6, num_paths=5, num_tags=4, k_max=4)
 GRAD_VARIANTS = [AttentionVariant.SOFT, AttentionVariant.NO_ATTENTION,
@@ -81,10 +81,11 @@ class TestGradients:
             params = init_params(DIMS, variant, 100 + trial)
             example = random_encoded(rng, DIMS)
             trace = forward(params, example)
-            grads = backward(params, example, trace, example.label_id)
+            grads = dense_gradients(
+                params, backward(params, example, trace, example.label_id))
             for name in params.groups():
                 fd = finite_difference(params, example, example.label_id, name)
-                assert max_relative_error(grads.by_name[name], fd) < 1e-4, \
+                assert max_relative_error(grads[name], fd) < 1e-4, \
                     f"{variant.value}/{name} trial {trial}"
 
     def test_hard_attention_straight_through(self):
@@ -106,11 +107,12 @@ class TestGradients:
         mask = (rng.random((DIMS.k_max, 3 * DIMS.d)) < 0.75).astype(float)
         trace = forward(params, example, mode="train", dropout_rate=0.25,
                         dropout_mask=mask)
-        grads = backward(params, example, trace, example.label_id)
+        grads = dense_gradients(
+            params, backward(params, example, trace, example.label_id))
         for name in params.groups():
             fd = finite_difference(params, example, example.label_id, name,
                                    mask=mask)
-            assert max_relative_error(grads.by_name[name], fd) < 1e-4
+            assert max_relative_error(grads[name], fd) < 1e-4
 
     def test_shared_source_target_row_accumulates(self):
         params = init_params(DIMS, AttentionVariant.SOFT, 6)
@@ -119,35 +121,61 @@ class TestGradients:
         trace = forward(params, example)
         grads = backward(params, example, trace, example.label_id)
         fd = finite_difference(params, example, example.label_id, "value_vocab")
-        assert max_relative_error(grads.by_name["value_vocab"], fd) < 1e-4
-        assert np.abs(grads.by_name["value_vocab"][3]).max() > 0
+        value_grad = dense_gradients(params, grads)["value_vocab"]
+        assert max_relative_error(value_grad, fd) < 1e-4
+        assert grads.rows["value_vocab"][0].tolist() == [3]
+        assert np.abs(value_grad[3]).max() > 0
 
     def test_untouched_rows_exactly_zero(self):
+        # Only the rows a valid slot names are listed, PAD never, even when
+        # a valid slot holds the PAD id.
         params = init_params(DIMS, AttentionVariant.SOFT, 7)
-        example = EncodedExample(2, np.array([3]), np.array([2]),
-                                 np.array([4]), np.array([1.0]))
+        example = EncodedExample(2, np.array([3, PAD_ID, 5]), np.array([2, 4, 1]),
+                                 np.array([4, 5, 3]), np.array([1.0, 1.0, 0.0]))
         grads = backward(params, example, forward(params, example), 2)
-        touched = {3, 4}
-        for row in range(DIMS.num_values):
-            if row not in touched:
-                assert (grads.by_name["value_vocab"][row] == 0).all()
-        assert (grads.by_name["path_vocab"][PAD_ID] == 0).all()
-        assert (grads.by_name["value_vocab"][PAD_ID] == 0).all()
+        assert grads.rows["value_vocab"][0].tolist() == [3, 4, 5]
+        assert grads.rows["path_vocab"][0].tolist() == [2, 4]
+        for ids, rows in grads.rows.values():
+            assert rows.shape == (len(ids), DIMS.d)
         assert (grads.by_name["tags_vocab"][PAD_ID] == 0).all()
 
     def test_batch_gradient_is_sum_of_examples(self):
+        # One backward over a stacked batch equals the sum of per-example
+        # backwards, for every variant, with and without a recorded mask.
         rng = np.random.default_rng(15)
-        params = init_params(DIMS, AttentionVariant.SOFT, 8)
-        examples = [random_encoded(rng, DIMS) for _ in range(4)]
-        total = Gradients.zeros_like(params)
-        singles = []
-        for ex in examples:
-            g = backward(params, ex, forward(params, ex), ex.label_id)
-            singles.append(g)
-            total.add_(g)
-        for name in params.groups():
-            summed = sum(g.by_name[name] for g in singles)
-            assert np.allclose(total.by_name[name], summed, atol=0)
+        for variant in AttentionVariant:
+            params = init_params(DIMS, variant, 8)
+            examples = [random_encoded(rng, DIMS) for _ in range(5)]
+            masks = (rng.random((5, DIMS.k_max, 3 * DIMS.d)) < 0.75).astype(float)
+            for mask in (None, masks):
+                def run(example, mask):
+                    kwargs = {} if mask is None else dict(
+                        dropout_rate=0.25, dropout_mask=mask)
+                    trace = forward(params, example, mode="train", **kwargs)
+                    return dense_gradients(
+                        params, backward(params, example, trace, example.label_id))
+
+                batched = run(stack_examples(examples), mask)
+                singles = [run(ex, None if mask is None else mask[i])
+                           for i, ex in enumerate(examples)]
+                for name in params.groups():
+                    summed = sum(g[name] for g in singles)
+                    assert np.abs(batched[name] - summed).max() <= 1e-10, \
+                        f"{variant.value}/{name} mask={mask is not None}"
+
+    def test_batched_forward_matches_per_example(self):
+        rng = np.random.default_rng(18)
+        for variant in AttentionVariant:
+            params = init_params(DIMS, variant, 10)
+            examples = [random_encoded(rng, DIMS) for _ in range(6)]
+            stacked = stack_examples(examples)
+            for mode in ("train", "infer"):
+                trace = forward(params, stacked, mode=mode)
+                for i, example in enumerate(examples):
+                    single = forward(params, example, mode=mode)
+                    assert np.abs(trace.q[i] - single.q).max() <= 1e-12
+                    assert loss(trace, stacked.label_id)[i] == pytest.approx(
+                        loss(single, example.label_id), abs=1e-12)
 
     def test_all_finite(self):
         rng = np.random.default_rng(16)
@@ -156,8 +184,18 @@ class TestGradients:
             example = random_encoded(rng, DIMS)
             grads = backward(params, example, forward(params, example),
                              example.label_id)
-            for arr in grads.by_name.values():
+            for arr in dense_gradients(params, grads).values():
                 assert np.isfinite(arr).all()
+
+
+def random_gradients(rng, params, touched: dict[str, list[int]]) -> Gradients:
+    """Normal gradients for the dense groups and for the `touched` rows."""
+    grads = Gradients.zeros_like(params)
+    for arr in grads.by_name.values():
+        arr[:] = rng.normal(size=arr.shape)
+    for name, ids in touched.items():
+        grads.rows[name] = (np.array(ids), rng.normal(size=(len(ids), DIMS.d)))
+    return grads
 
 
 class TestAdam:
@@ -170,19 +208,40 @@ class TestAdam:
             assert (arr == before[name]).all()
 
     def test_first_step_is_signed_unit_step(self):
+        # On touched rows the first lazy step is the dense step.
         params = init_params(DIMS, AttentionVariant.SOFT, 2)
         before = {n: a.copy() for n, a in params.groups().items()}
-        grads = Gradients.zeros_like(params)
-        rng = np.random.default_rng(0)
-        for arr in grads.by_name.values():
-            arr[:] = rng.normal(size=arr.shape)
+        grads = random_gradients(np.random.default_rng(0), params,
+                                 {"value_vocab": [1, 3, 4], "path_vocab": [2]})
         config = TrainConfig(learning_rate=0.01)
         adam_step(params, grads, AdamState.zeros_like(params), config)
+        dense = dense_gradients(params, grads)
         for name, arr in params.groups().items():
-            g = grads.by_name[name]
+            g = dense[name]
             expected = before[name] - config.learning_rate * g / (
                 np.abs(g) + config.epsilon)
             assert np.allclose(arr, expected, atol=1e-12)
+
+    def test_untouched_rows_keep_parameters_and_moments(self):
+        params = init_params(DIMS, AttentionVariant.SOFT, 4)
+        state = AdamState.zeros_like(params)
+        rng = np.random.default_rng(1)
+        everything = {"value_vocab": list(range(1, DIMS.num_values)),
+                      "path_vocab": list(range(1, DIMS.num_paths))}
+        adam_step(params, random_gradients(rng, params, everything), state,
+                  TrainConfig())
+        snapshot = [{n: a.copy() for n, a in group.items()}
+                    for group in (params.groups(), state.m, state.v)]
+        touched = {"value_vocab": [2, 5], "path_vocab": [3]}
+        adam_step(params, random_gradients(rng, params, touched), state,
+                  TrainConfig())
+        for name, ids in touched.items():
+            untouched = np.setdiff1d(np.arange(len(params.groups()[name])), ids)
+            for old, new in zip(snapshot, (params.groups(), state.m, state.v)):
+                assert np.array_equal(new[name][untouched], old[name][untouched])
+                assert not np.array_equal(new[name][ids], old[name][ids])
+        assert (params.value_vocab[PAD_ID] == 0).all()
+        assert (params.path_vocab[PAD_ID] == 0).all()
 
     def test_deterministic(self):
         results = []
@@ -205,16 +264,13 @@ class TestDescentAndTraining:
         examples = [random_encoded(rng, DIMS) for _ in range(6)]
         state = AdamState.zeros_like(params)
         config = TrainConfig(learning_rate=1e-2)
+        batch = stack_examples(examples)
         losses = []
         for _ in range(10):
-            grads = Gradients.zeros_like(params)
-            total = 0.0
-            for ex in examples:
-                trace = forward(params, ex)
-                total += loss(trace, ex.label_id)
-                grads.add_(backward(params, ex, trace, ex.label_id))
-            losses.append(total)
-            adam_step(params, grads, state, config)
+            trace = forward(params, batch)
+            losses.append(loss(trace, batch.label_id).sum())
+            adam_step(params, backward(params, batch, trace, batch.label_id),
+                      state, config)
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def toy_dataset(self):
@@ -260,6 +316,17 @@ class TestDescentAndTraining:
         f1s = [h.val_f1 for h in history]
         # patience=1 stops at the first non-improving epoch
         assert all(b > a for a, b in zip(f1s[:-2], f1s[1:-1]))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_names_epoch_and_example(self):
+        # The first step overflows the parameters; the first bad example,
+        # in batch order, of the next epoch is named by its dataset index.
+        examples = self.toy_dataset()[:10]
+        vocabs = build_vocabs(examples)
+        config = TrainConfig(learning_rate=1e300, dim=8, k_max=20)
+        with pytest.raises(TrainingError,
+                           match=r"^non-finite loss at epoch 2, example 0: "):
+            train(examples, examples, vocabs, config)
 
     def test_empty_train_set(self):
         with pytest.raises(TrainingError):
