@@ -1,34 +1,13 @@
 """Syntactic path-context extraction and attention-based code embeddings
-for semantic labeling of code snippets (method name prediction)."""
+for semantic labeling of code snippets (method name prediction). Exports
+the names README's "Library use" imports; the rest live in the modules."""
 
-from .ast_tree import (Ast, AstBuilder, AstNode, normalize_value,
-                       read_sexpr_ast, structurally_equal, write_sexpr_ast)
-from .corpus import (ABLATIONS, PAD_ID, UNK_ID, AblationMask, EncodedExample,
-                     RawExample, Vocabs, build_vocabs, encode_example,
-                     load_dataset, read_dataset, split_subtokens, write_dataset)
-from .errors import CodevecError
-from .metrics import Metrics, evaluate, score_pair
-from .minij import parse_methods, parse_mini
-from .model import (AttentionVariant, ForwardTrace, ModelDims, ModelParams,
-                    forward, init_params, load_model,
-                    predict_topk, save_model)
-from .paths import (AstPath, ExtractionLimits, PathContext,
-                    extract_path_contexts, path_from_string, path_to_string,
-                    reverse_path)
+from .corpus import build_vocabs
+from .metrics import evaluate
+from .minij import parse_methods
+from .paths import ExtractionLimits
 from .pipeline import method_to_example
-from .training import TrainConfig, adam_step, backward, loss, train
-from .vectors import NameVectorTable, cosine
+from .training import TrainConfig, train
 
-__all__ = [
-    "Ast", "AstBuilder", "AstNode", "normalize_value", "read_sexpr_ast",
-    "structurally_equal", "write_sexpr_ast", "ABLATIONS", "PAD_ID", "UNK_ID",
-    "AblationMask", "EncodedExample", "RawExample", "Vocabs", "build_vocabs",
-    "encode_example", "load_dataset", "read_dataset", "split_subtokens",
-    "write_dataset", "CodevecError", "Metrics", "evaluate", "score_pair",
-    "parse_methods", "parse_mini", "AttentionVariant", "ForwardTrace",
-    "ModelDims", "ModelParams", "forward", "init_params",
-    "load_model", "predict_topk", "save_model", "AstPath", "ExtractionLimits",
-    "PathContext", "extract_path_contexts", "path_from_string",
-    "path_to_string", "reverse_path", "method_to_example", "TrainConfig",
-    "adam_step", "backward", "loss", "train", "NameVectorTable", "cosine",
-]
+__all__ = ["ExtractionLimits", "TrainConfig", "build_vocabs", "evaluate",
+           "method_to_example", "parse_methods", "train"]

@@ -119,21 +119,6 @@ class AstBuilder:
         return Ast(tuple(self._nodes), root)
 
 
-def structurally_equal(a: Ast, b: Ast) -> bool:
-    """True when two trees have the same shape, kinds, and values.
-
-    Node ids are an internal detail, so tuple equality on the pools is not
-    a meaningful comparison. The depth-first (kind, value, arity) sequence
-    determines an ordered tree.
-    """
-
-    def shape(ast: Ast):
-        return [(n.kind, n.value, len(n.children))
-                for n in map(ast.nodes.__getitem__, ast.order)]
-
-    return shape(a) == shape(b)
-
-
 # --- S-expression format -------------------------------------------------
 #
 # Nonterminal: (Kind child1 ... childN)    Terminal: (Kind "value")
@@ -155,14 +140,6 @@ def _tokenize_sexpr(text: str):
     if text[pos:].strip():
         raise SExprError(f"unexpected character {text[pos:].strip()[0]!r}")
     return tokens
-
-
-def read_sexpr_ast(text: str) -> Ast:
-    """Parse a single S-expression tree into an Ast."""
-    asts = read_sexpr_asts(text)
-    if len(asts) != 1:
-        raise SExprError(f"expected exactly one tree, found {len(asts)}")
-    return asts[0]
 
 
 def read_sexpr_asts(text: str) -> list[Ast]:

@@ -6,10 +6,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-
 from .ast_tree import read_sexpr_asts
-from .corpus import (ABLATIONS, RawExample, build_vocabs, encode_example,
-                     example_rng, load_dataset, write_dataset)
+from .corpus import (ABLATIONS, build_vocabs, encode_example, example_rng,
+                     load_dataset, write_dataset)
 from .errors import CodevecError, TrainingError
 from .metrics import evaluate
 from .minij import parse_methods
@@ -31,43 +30,66 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _read_methods(path: str):
-    """Methods from one input file, auto-detecting MiniJ vs S-expressions."""
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    if text.lstrip().startswith("("):
-        return read_sexpr_asts(text)
-    return parse_methods(text)
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
+
+
+_positive_int = _int_at_least(1)
+
+
+def _fail(failures: list[str], message: str) -> None:
+    failures.append(message)
+    print(message, file=sys.stderr)
+
+
+def _method_examples(args, failures: list[str]):
+    """(path, example) for each method of the input files, in order. A file
+    whose first non-blank character is '(' holds S-expression trees, any
+    other MiniJ. A file that cannot be read or parsed, or a method that
+    cannot be extracted, is reported as `path: message`, added to
+    `failures` and skipped."""
+    limits = ExtractionLimits(args.max_length, args.max_width)
+    for path in args.inputs:
+        try:
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+            read = read_sexpr_asts if text.lstrip().startswith("(") else parse_methods
+            methods = read(text)
+        except (CodevecError, OSError) as exc:
+            _fail(failures, f"{path}: {exc}")
+            continue
+        for ast in methods:
+            try:
+                example = method_to_example(ast, limits)
+            except CodevecError as exc:
+                _fail(failures, f"{path}: {exc}")
+                continue
+            yield path, example
 
 
 def cmd_extract(args) -> int:
-    limits = ExtractionLimits(args.max_length, args.max_width)
-    examples: list[RawExample] = []
-    failures = 0
-    total_contexts = 0
-    empty = 0
-    for path in args.inputs:
-        try:
-            methods = _read_methods(path)
-        except (CodevecError, OSError) as exc:
-            print(f"{path}: {exc}", file=sys.stderr)
-            failures += 1
-            continue
-        for ast in methods:
-            example = method_to_example(ast, limits)
-            examples.append(example)
-            total_contexts += len(example.contexts)
-            if not example.contexts:
-                empty += 1
+    failures: list[str] = []
+    methods = contexts = empty = 0
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
-        write_dataset(examples, out)
+        for _, example in _method_examples(args, failures):
+            write_dataset([example], out)
+            methods += 1
+            contexts += len(example.contexts)
+            if not example.contexts:
+                empty += 1
     finally:
         if args.output:
             out.close()
-    print(f"extracted {len(examples)} methods, {total_contexts} contexts, "
-          f"{empty} without contexts, {failures} failed files", file=sys.stderr)
-    if not examples and not failures:
+    print(f"extracted {methods} methods, {contexts} contexts, "
+          f"{empty} without contexts, {len(failures)} failures", file=sys.stderr)
+    if not methods and not failures:
         print("warning: no methods found", file=sys.stderr)
     return EXIT_DATA if failures else 0
 
@@ -95,30 +117,19 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     params, vocabs = load_model(args.model)
-    limits = ExtractionLimits(args.max_length, args.max_width)
-    status = 0
-    for path in args.inputs:
-        try:
-            methods = _read_methods(path)
-        except (CodevecError, OSError) as exc:
-            print(f"{path}: {exc}", file=sys.stderr)
-            status = EXIT_DATA
+    failures: list[str] = []
+    for path, example in _method_examples(args, failures):
+        if not example.contexts:
+            _fail(failures, f"{path}: method {example.label!r} has no path-contexts")
             continue
-        for ast in methods:
-            example = method_to_example(ast, limits)
-            if not example.contexts:
-                print(f"{path}: method {example.label!r} has no path-contexts",
-                      file=sys.stderr)
-                status = EXIT_DATA
-                continue
-            encoded = encode_example(example, vocabs, params.dims.k_max,
-                                     example_rng(args.seed, 0))
-            print(f"# {example.label}")
-            for tag, prob in predict_topk(params, encoded, args.topk, vocabs):
-                print(f"{tag} {prob:.6f}")
-            if args.attention:
-                _print_attention(params, example, encoded)
-    return status
+        encoded = encode_example(example, vocabs, params.dims.k_max,
+                                 example_rng(args.seed, 0))
+        print(f"# {example.label}")
+        for tag, prob in predict_topk(params, encoded, args.topk, vocabs):
+            print(f"{tag} {prob:.6f}")
+        if args.attention:
+            _print_attention(params, example, encoded)
+    return EXIT_DATA if failures else 0
 
 
 def _print_attention(params, example, encoded) -> None:
@@ -175,8 +186,8 @@ def cmd_analogy(args) -> int:
 
 
 def _add_limits(parser) -> None:
-    parser.add_argument("--max-length", type=int, default=8)
-    parser.add_argument("--max-width", type=int, default=2)
+    parser.add_argument("--max-length", type=_positive_int, default=8)
+    parser.add_argument("--max-width", type=_int_at_least(0), default=2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,28 +204,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--val")
     p.add_argument("--output", "-o", required=True)
-    p.add_argument("--dim", type=int, default=128)
-    p.add_argument("--kmax", type=int, default=200)
+    p.add_argument("--dim", type=_positive_int, default=128)
+    p.add_argument("--kmax", type=_positive_int, default=200)
     p.add_argument("--dropout", type=float, default=0.25)
     p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--patience", type=int, default=3)
+    p.add_argument("--batch", type=_positive_int, default=32)
+    p.add_argument("--epochs", type=_positive_int, default=20)
+    p.add_argument("--patience", type=_positive_int, default=3)
     p.add_argument("--variant", choices=[v.value for v in AttentionVariant],
                    default="soft")
     p.add_argument("--ablation", choices=sorted(ABLATIONS), default="full")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--checkpoints", action="store_true",
                    help="also save a .ckpt-<epoch> model after each epoch")
-    p.add_argument("--max-values", type=int, default=50_000)
-    p.add_argument("--max-paths", type=int, default=50_000)
-    p.add_argument("--max-tags", type=int, default=10_000)
+    p.add_argument("--max-values", type=_positive_int, default=50_000)
+    p.add_argument("--max-paths", type=_positive_int, default=50_000)
+    p.add_argument("--max-tags", type=_positive_int, default=10_000)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="predict names for methods in input files")
     p.add_argument("--model", required=True)
     p.add_argument("inputs", nargs="+")
-    p.add_argument("--topk", type=int, default=5)
+    p.add_argument("--topk", type=_positive_int, default=5)
     p.add_argument("--attention", action="store_true",
                    help="print per-context attention weights, descending")
     p.add_argument("--seed", type=int, default=0)
@@ -232,14 +243,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nearest", help="nearest names by cosine similarity")
     p.add_argument("--model", required=True)
     p.add_argument("name")
-    p.add_argument("--topk", type=int, default=10)
+    p.add_argument("--topk", type=_positive_int, default=10)
     p.set_defaults(func=cmd_nearest)
 
     p = sub.add_parser("combine", help="names most similar to two names combined")
     p.add_argument("--model", required=True)
     p.add_argument("name_a")
     p.add_argument("name_b")
-    p.add_argument("--topk", type=int, default=10)
+    p.add_argument("--topk", type=_positive_int, default=10)
     p.set_defaults(func=cmd_combine)
 
     p = sub.add_parser("analogy", help="a - b + c name analogy")
@@ -247,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("c")
-    p.add_argument("--topk", type=int, default=10)
+    p.add_argument("--topk", type=_positive_int, default=10)
     p.set_defaults(func=cmd_analogy)
     return parser
 
@@ -258,9 +269,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except TrainingError as exc:
-        print(f"codevec: numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except FloatingPointError as exc:
         print(f"codevec: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (CodevecError, OSError, ValueError) as exc:

@@ -44,9 +44,6 @@ class Vocab:
     def id_of(self, entry: str) -> int:
         return self._index.get(entry, UNK_ID)
 
-    def __contains__(self, entry: str) -> bool:
-        return entry in self._index
-
     def entry(self, idx: int) -> str:
         return self.entries[idx]
 

@@ -28,46 +28,46 @@ def score_pair(predicted: str, true: str) -> tuple[int, int, int]:
 
 @dataclass
 class Metrics:
-    precision: float
-    recall: float
-    f1: float
-    exact_match: float
-    count: int
+    """Micro-averaged sub-token counts over scored (predicted, true) pairs;
+    precision, recall, F1 and exact match derive from them."""
+
     tp: int = 0
     fp: int = 0
     fn: int = 0
-
-    def summary(self) -> str:
-        return (f"P={self.precision:.4f} R={self.recall:.4f} F1={self.f1:.4f} "
-                f"exact={self.exact_match:.4f} n={self.count}")
-
-
-class MetricsAccumulator:
-    """Micro-averaged counts over scored pairs."""
-
-    def __init__(self):
-        self.tp = self.fp = self.fn = 0
-        self.examples = 0
-        self.exact = 0
+    count: int = 0
+    exact: int = 0
 
     def add(self, predicted: str, true: str) -> tuple[int, int, int]:
         tp, fp, fn = score_pair(predicted, true)
         self.tp += tp
         self.fp += fp
         self.fn += fn
-        self.examples += 1
+        self.count += 1
         if fp == 0 and fn == 0:
             self.exact += 1
         return tp, fp, fn
 
-    def result(self) -> Metrics:
-        precision = self.tp / (self.tp + self.fp) if self.tp + self.fp else 0.0
-        recall = self.tp / (self.tp + self.fn) if self.tp + self.fn else 0.0
-        f1 = (2 * precision * recall / (precision + recall)
-              if precision + recall else 0.0)
-        exact = self.exact / self.examples if self.examples else 0.0
-        return Metrics(precision, recall, f1, exact, self.examples,
-                       self.tp, self.fp, self.fn)
+    @property
+    def precision(self) -> float:
+        return self.tp / (self.tp + self.fp) if self.tp + self.fp else 0.0
+
+    @property
+    def recall(self) -> float:
+        return self.tp / (self.tp + self.fn) if self.tp + self.fn else 0.0
+
+    @property
+    def f1(self) -> float:
+        precision, recall = self.precision, self.recall
+        return (2 * precision * recall / (precision + recall)
+                if precision + recall else 0.0)
+
+    @property
+    def exact_match(self) -> float:
+        return self.exact / self.count if self.count else 0.0
+
+    def summary(self) -> str:
+        return (f"P={self.precision:.4f} R={self.recall:.4f} F1={self.f1:.4f} "
+                f"exact={self.exact_match:.4f} n={self.count}")
 
 
 def evaluate_encoded(params: ModelParams, encoded: list[EncodedExample],
@@ -81,28 +81,25 @@ def evaluate_encoded(params: ModelParams, encoded: list[EncodedExample],
     When `per_example` is a list, (true, predicted, tp, fp, fn) tuples are
     appended to it.
     """
-    acc = MetricsAccumulator()
+    metrics = Metrics()
     for example, label in zip(encoded, labels):
         predicted = ""
         if example.trainable:
             predicted = vocabs.tags.entry(int(np.argmax(forward(params, example).q)))
-        counts = acc.add(predicted, label)
+        counts = metrics.add(predicted, label)
         if per_example is not None:
             per_example.append((label, predicted, *counts))
-    return acc.result()
+    return metrics
 
 
 def evaluate(params: ModelParams, dataset: list[RawExample], vocabs: Vocabs,
-             k_max: int | None = None, seed: int = 0,
-             ablation: AblationMask = ABLATIONS["full"],
+             seed: int = 0, ablation: AblationMask = ABLATIONS["full"],
              per_example: list | None = None) -> Metrics:
     """Evaluate a trained model over a raw dataset (deterministic: context
     subsampling uses per-example seeded generators); see `evaluate_encoded`
     for `per_example`."""
     if not dataset:
         raise DatasetFormatError("empty dataset")
-    if k_max is None:
-        k_max = params.dims.k_max
-    encoded = encode_dataset(dataset, vocabs, k_max, seed, ablation)
+    encoded = encode_dataset(dataset, vocabs, params.dims.k_max, seed, ablation)
     return evaluate_encoded(params, encoded, [raw.label for raw in dataset],
                             vocabs, per_example)

@@ -6,12 +6,18 @@ field and array access, and the usual boolean/arithmetic operators.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .ast_tree import Ast, AstBuilder
 from .errors import MiniJSyntaxError
 
 KEYWORDS = {"if", "else", "while", "for", "return", "true", "false"}
+
+# Deepest nesting of parenthesised, call and index expressions, unary
+# operators and statement bodies. A level costs the parser up to 10 stack
+# frames, so this stays well inside Python's default limit of 1000.
+MAX_NESTING = 64
 
 _PUNCT = [
     "==", "!=", "<=", ">=", "&&", "||",
@@ -85,6 +91,7 @@ class _Parser:
     def __init__(self, source: str):
         self.tokens = _lex(source)
         self.pos = 0
+        self.depth = 0
         self.builder = AstBuilder()
 
     # -- token helpers ----------------------------------------------------
@@ -123,6 +130,17 @@ class _Parser:
     def error(self, message: str) -> MiniJSyntaxError:
         tok = self.peek()
         return MiniJSyntaxError(message, tok.line, tok.col)
+
+    @contextmanager
+    def nested(self):
+        """One more nesting level, opened at the current token."""
+        if self.depth == MAX_NESTING:
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        try:
+            yield
+        finally:
+            self.depth -= 1
 
     # -- grammar ----------------------------------------------------------
 
@@ -180,9 +198,10 @@ class _Parser:
     def parse_body(self) -> int:
         """A statement body: a braced block, or a single statement wrapped
         in a Block node so loop/branch bodies are always Block."""
-        if self.at_punct("{"):
-            return self.parse_block()
-        return self.builder.nonterminal("Block", [self.parse_statement()])
+        with self.nested():
+            if self.at_punct("{"):
+                return self.parse_block()
+            return self.builder.nonterminal("Block", [self.parse_statement()])
 
     def parse_statement(self) -> int:
         if self.at_keyword("if"):
@@ -277,8 +296,9 @@ class _Parser:
 
     def parse_unary(self) -> int:
         if self.at_punct("!") or self.at_punct("-"):
-            self.advance()
-            return self.builder.nonterminal("UnaryExpr", [self.parse_unary()])
+            with self.nested():
+                self.advance()
+                return self.builder.nonterminal("UnaryExpr", [self.parse_unary()])
         return self.parse_postfix()
 
     def parse_postfix(self) -> int:
@@ -290,20 +310,22 @@ class _Parser:
                 field = self.builder.terminal("Name", field_tok.text)
                 node = self.builder.nonterminal("FieldAccess", [node, field])
             elif self.at_punct("("):
-                self.advance()
-                args = []
-                if not self.at_punct(")"):
-                    while True:
-                        args.append(self.parse_expression())
-                        if not self.at_punct(","):
-                            break
-                        self.advance()
-                self.expect_punct(")")
+                with self.nested():
+                    self.advance()
+                    args = []
+                    if not self.at_punct(")"):
+                        while True:
+                            args.append(self.parse_expression())
+                            if not self.at_punct(","):
+                                break
+                            self.advance()
+                    self.expect_punct(")")
                 node = self.builder.nonterminal("Call", [node] + args)
             elif self.at_punct("["):
-                self.advance()
-                index = self.parse_expression()
-                self.expect_punct("]")
+                with self.nested():
+                    self.advance()
+                    index = self.parse_expression()
+                    self.expect_punct("]")
                 node = self.builder.nonterminal("ArrayAccess", [node, index])
             else:
                 return node
@@ -311,9 +333,10 @@ class _Parser:
     def parse_primary(self) -> int:
         tok = self.peek()
         if self.at_punct("("):
-            self.advance()
-            node = self.parse_expression()
-            self.expect_punct(")")
+            with self.nested():
+                self.advance()
+                node = self.parse_expression()
+                self.expect_punct(")")
             return node
         if tok.kind == "int":
             self.advance()
@@ -331,25 +354,6 @@ class _Parser:
             return self.builder.terminal("NameExpr", tok.text)
         raise MiniJSyntaxError(f"unexpected token {tok.text or 'end of input'!r}",
                                tok.line, tok.col)
-
-
-def parse_mini(source: str) -> Ast:
-    """Parse a single MiniJ snippet: one method declaration, or a statement
-    sequence. A lone expression statement becomes the tree root directly;
-    several statements are wrapped in a Block."""
-    if not source.strip():
-        raise MiniJSyntaxError("empty input", 1, 1)
-    parser = _Parser(source)
-    if parser.at_method_decl():
-        root = parser.parse_method()
-        if parser.peek().kind != "eof":
-            raise parser.error("trailing input after method (use parse_methods)")
-    else:
-        stmts = []
-        while parser.peek().kind != "eof":
-            stmts.append(parser.parse_statement())
-        root = stmts[0] if len(stmts) == 1 else parser.builder.nonterminal("Block", stmts)
-    return parser.builder.build(root)
 
 
 def parse_methods(source: str) -> list[Ast]:

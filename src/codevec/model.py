@@ -66,14 +66,8 @@ class ModelParams:
         out["tags_vocab"] = self.tags_vocab
         return out
 
-    def _map(self, fn) -> "ModelParams":
-        return replace(self, **{name: fn(arr) for name, arr in self.groups().items()})
-
     def copy(self) -> "ModelParams":
-        return self._map(lambda arr: arr.copy())
-
-    def astype(self, dtype) -> "ModelParams":
-        return self._map(lambda arr: arr.astype(dtype))
+        return replace(self, **{name: arr.copy() for name, arr in self.groups().items()})
 
 
 @dataclass
@@ -93,10 +87,10 @@ class ForwardTrace:
     attention_kind: str           # 'soft' | 'uniform' | 'hard' | 'elementwise'
 
 
-def _glorot(rng: np.random.Generator, shape: tuple[int, ...], dtype=np.float64):
+def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     fan_in, fan_out = (shape[0], shape[1]) if len(shape) == 2 else (1, shape[0])
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    return rng.uniform(-bound, bound, size=shape)
 
 
 def _shapes(dims: ModelDims, variant: AttentionVariant) -> dict[str, tuple[int, ...]]:
@@ -113,11 +107,10 @@ def _shapes(dims: ModelDims, variant: AttentionVariant) -> dict[str, tuple[int, 
     return shapes
 
 
-def init_params(dims: ModelDims, variant: AttentionVariant, seed: int,
-                dtype=np.float64) -> ModelParams:
+def init_params(dims: ModelDims, variant: AttentionVariant, seed: int) -> ModelParams:
     """Glorot-uniform initialization, deterministic per seed; PAD rows zero."""
     rng = np.random.default_rng(seed)
-    groups = {name: _glorot(rng, shape, dtype)
+    groups = {name: _glorot(rng, shape)
               for name, shape in _shapes(dims, variant).items()}
     for name in ("value_vocab", "path_vocab", "tags_vocab"):
         groups[name][PAD_ID] = 0.0

@@ -33,10 +33,6 @@ class AstPath:
         if not self.directions:
             raise ValueError("path must have at least one step")
 
-    @property
-    def length(self) -> int:
-        return len(self.directions)
-
 
 @dataclass(frozen=True)
 class PathContext:
@@ -126,8 +122,3 @@ def path_from_string(text: str) -> AstPath:
     directions = tuple(UP if s == "^" else DOWN for s in seps)
     return AstPath(tuple(kinds), directions)
 
-
-def reverse_path(path: AstPath) -> AstPath:
-    """Mirror a path: reversed kinds, flipped and reversed directions."""
-    flipped = tuple(DOWN if d == UP else UP for d in reversed(path.directions))
-    return AstPath(tuple(reversed(path.kinds)), flipped)

@@ -19,6 +19,11 @@ from .model import (AttentionVariant, ForwardTrace, ModelDims, ModelParams,
 # most 3 * k_max of their rows.
 EMBEDDINGS = ("value_vocab", "path_vocab")
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 def loss(trace: ForwardTrace, label_id) -> float | np.ndarray:
     """Negative log-likelihood of the true label under the predicted
@@ -135,9 +140,6 @@ class AdamState:
 @dataclass
 class TrainConfig:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     batch_size: int = 32
     max_epochs: int = 20
     patience: int = 3
@@ -153,6 +155,10 @@ class TrainConfig:
             raise ValueError("learning rate must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout rate must be in [0, 1)")
+        if self.batch_size < 1:
+            raise ValueError("batch size must be >= 1")
+        if self.max_epochs < 1:
+            raise ValueError("max epochs must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
 
@@ -166,7 +172,7 @@ def adam_step(params: ModelParams, grads: Gradients, state: AdamState,
     global step."""
     state.step += 1
     t = state.step
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, param in params.groups().items():
         if name in grads.rows:
             rows, grad = grads.rows[name]
@@ -178,7 +184,7 @@ def adam_step(params: ModelParams, grads: Gradients, state: AdamState,
         state.v[name][rows] = v
         m_hat = m / (1 - b1 ** t)
         v_hat = v / (1 - b2 ** t)
-        param[rows] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+        param[rows] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
 @dataclass

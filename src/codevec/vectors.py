@@ -21,13 +21,11 @@ class NameVectorTable:
     """Tag strings paired with their learned vectors; PAD, UNK, and
     zero-norm rows are excluded from queries."""
 
-    def __init__(self, names: list[str], vectors: np.ndarray,
-                 excluded: list[str] | None = None):
+    def __init__(self, names: list[str], vectors: np.ndarray):
         if len(names) != len(vectors):
             raise ValueError("names/vectors length mismatch")
         self.names = list(names)
         self.vectors = np.asarray(vectors, dtype=np.float64)
-        self.excluded = excluded or []
         norms = np.linalg.norm(self.vectors, axis=1)
         if np.any(norms == 0.0):
             raise ValueError("zero-norm vector in queryable table")
@@ -36,20 +34,14 @@ class NameVectorTable:
 
     @classmethod
     def from_params(cls, params: ModelParams, vocabs: Vocabs) -> "NameVectorTable":
-        names, rows, excluded = [], [], []
+        names, rows = [], []
         for idx in range(len(vocabs.tags)):
-            if idx in (PAD_ID, UNK_ID):
-                continue
             row = params.tags_vocab[idx]
-            if np.linalg.norm(row) == 0.0:
-                excluded.append(vocabs.tags.entry(idx))
+            if idx in (PAD_ID, UNK_ID) or np.linalg.norm(row) == 0.0:
                 continue
             names.append(vocabs.tags.entry(idx))
             rows.append(row)
-        return cls(names, np.array(rows, dtype=np.float64), excluded)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
+        return cls(names, np.array(rows, dtype=np.float64))
 
     def vector(self, name: str) -> np.ndarray:
         idx = self._index.get(name)

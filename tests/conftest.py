@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 
@@ -74,6 +75,21 @@ def deep_method(depth: int) -> Ast:
                                                   builder.terminal("Name", "x")]),
                 builder.nonterminal("Block", [builder.nonterminal("Return", [node])])]
     return builder.build(builder.nonterminal("MethodDecl", children))
+
+
+def structurally_equal(a: Ast, b: Ast) -> bool:
+    """True when two trees have the same shape, kinds, and values.
+
+    Node ids are an internal detail, so tuple equality on the pools is not
+    a meaningful comparison. The depth-first (kind, value, arity) sequence
+    determines an ordered tree.
+    """
+
+    def shape(ast: Ast):
+        return [(n.kind, n.value, len(n.children))
+                for n in map(ast.nodes.__getitem__, ast.order)]
+
+    return shape(a) == shape(b)
 
 
 def oracle_path_contexts(ast: Ast, limits: ExtractionLimits) -> Counter:
@@ -158,6 +174,12 @@ def random_encoded(rng: np.random.Generator, dims: ModelDims,
     return EncodedExample(label, sources, paths, targets, mask)
 
 
+def as_float32(params):
+    """The parameters in single precision, as `save_model` stores them."""
+    return replace(params, **{name: arr.astype(np.float32)
+                              for name, arr in params.groups().items()})
+
+
 def dense_gradients(params, grads) -> dict:
     """Every group's gradient as a full array: the row-sparse embedding
     gradients scattered into zeros."""
@@ -202,6 +224,18 @@ def toy_minij_corpus(variants_per_label: int = 5) -> list[str]:
         for i in range(variants_per_label):
             sources.append(template.format(v=f"arg{label.lower()}{i}"))
     return sources
+
+
+# One MiniJ method per construct that counts toward the parser's nesting
+# limit, nested `n` levels deep.
+NESTING_SHAPES = {
+    "parentheses": lambda n: "int f() { return " + "(" * n + "x" + ")" * n + "; }",
+    "calls": lambda n: "int f() { return " + "g(" * n + "x" + ")" * n + "; }",
+    "indexing": lambda n: "int f() { return " + "a[" * n + "0" + "]" * n + "; }",
+    "unary minus": lambda n: "int f() { return " + "-" * n + "x; }",
+    "if blocks": lambda n: "int f() { " + "if (c) { " * n + "x;" + " }" * n + " }",
+    "loop bodies": lambda n: "int f() { " + "while (c) " * n + "x; }",
+}
 
 
 # one `criterion N: PASS|FAIL` line per acceptance check, filled in by

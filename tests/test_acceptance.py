@@ -15,8 +15,9 @@ import pytest
 from codevec.corpus import (ABLATIONS, RawExample, build_vocabs,
                             format_example, format_vocabs, parse_example,
                             parse_vocabs)
+from codevec.ast_tree import read_sexpr_asts
 from codevec.metrics import evaluate, score_pair
-from codevec.minij import parse_mini
+from codevec.minij import parse_methods
 from codevec.model import (AttentionVariant, ModelDims, forward, init_params,
                            load_model, predict_topk, save_model)
 from codevec.paths import (ExtractionLimits, PathContext,
@@ -25,8 +26,8 @@ from codevec.paths import (ExtractionLimits, PathContext,
 from codevec.training import TrainConfig, train
 from codevec.vectors import NameVectorTable, sum_of_cosines_ranking
 
-from conftest import (dense_gradients, oracle_path_contexts, random_ast,
-                      random_encoded, toy_minij_corpus)
+from conftest import (as_float32, dense_gradients, oracle_path_contexts,
+                      random_ast, random_encoded, toy_minij_corpus)
 from test_training import finite_difference, max_relative_error
 
 TANH_VARIANTS = [AttentionVariant.SOFT, AttentionVariant.NO_ATTENTION,
@@ -69,7 +70,8 @@ def test_extraction_oracle():
 
 @criterion(2, "assignment snippet yields its single documented path-context")
 def test_assignment_reproduction():
-    ast = parse_mini("x = 7;")
+    # the tree of `x = 7;`
+    (ast,) = read_sexpr_asts('(AssignExpr (NameExpr "x") (IntegerLiteralExpr "7"))')
     contexts = extract_path_contexts(ast, ExtractionLimits())
     assert [(c.source_value, path_to_string(c.path), c.target_value)
             for c in contexts] == [
@@ -151,8 +153,8 @@ def test_overfit_capacity():
     start = time.monotonic()
     limits = ExtractionLimits(8, 2)
     from codevec.pipeline import method_to_example
-    examples = [method_to_example(parse_mini(src), limits)
-                for src in toy_minij_corpus()]
+    examples = [method_to_example(ast, limits)
+                for ast in parse_methods("\n".join(toy_minij_corpus()))]
     assert len(examples) == 50
     assert len({e.label for e in examples}) == 10
     vocabs = build_vocabs(examples)
@@ -273,7 +275,7 @@ def test_serialization(tmp_path):
         path = tmp_path / f"{variant.value}.bin"
         save_model(str(path), params, vocabs)
         loaded_params, loaded_vocabs = load_model(str(path))
-        in_memory = params.astype(np.float32)
+        in_memory = as_float32(params)
         assert format_vocabs(loaded_vocabs) == format_vocabs(vocabs)
         for _ in range(100 if variant is AttentionVariant.SOFT else 5):
             example = random_encoded(rng, dims)

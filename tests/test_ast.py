@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from codevec.ast_tree import (Ast, AstBuilder, AstNode, normalize_value,
-                              read_sexpr_ast, read_sexpr_asts,
-                              structurally_equal, write_sexpr_ast)
+                              read_sexpr_asts, write_sexpr_ast)
 from codevec.errors import MiniJSyntaxError, SExprError
-from codevec.minij import parse_methods, parse_mini
+from codevec.minij import MAX_NESTING, parse_methods
 from codevec.paths import ExtractionLimits, path_to_string
 from codevec.pipeline import method_to_example
 
-from conftest import deep_method, random_ast
+from conftest import NESTING_SHAPES, deep_method, random_ast, structurally_equal
 
 
 class TestAstModel:
@@ -48,20 +47,21 @@ class TestAstModel:
         assert not structurally_equal(ast, deep_method(depth - 1))
         example = method_to_example(ast, ExtractionLimits(max_length=depth + 5))
         assert example.label == "deep"
-        deep = [c for c in example.contexts if c.path.length > 8]
-        assert [(c.source_value, c.path.length, c.target_value) for c in deep] == [
+        deep = [c for c in example.contexts if len(c.path.directions) > 8]
+        assert [(c.source_value, len(c.path.directions), c.target_value)
+                for c in deep] == [
             ("int", depth + 4, "x"), ("int", depth + 5, "x"), ("x", depth + 5, "x")]
         assert path_to_string(deep[0].path).startswith("Type^MethodDecl_Block_Return_")
 
     def test_terminals_dfs_order(self):
-        ast = parse_mini("x = 7;")
+        (ast,) = parse_methods("void f() { x = 7; }")
         kinds = [ast.node(t).kind for t in ast.terminals()]
-        assert kinds == ["NameExpr", "IntegerLiteralExpr"]
+        assert kinds == ["Type", "Name", "NameExpr", "IntegerLiteralExpr"]
         values = [ast.node(t).value for t in ast.terminals()]
-        assert values == ["x", "7"]
+        assert values == ["void", "f", "x", "7"]
 
     def test_terminals_single_node_tree(self):
-        ast = read_sexpr_ast('(NameExpr "x")')
+        (ast,) = read_sexpr_asts('(NameExpr "x")')
         assert ast.terminals() == [ast.root]
 
     def test_terminals_match_exhaustive_scan(self):
@@ -82,19 +82,17 @@ class TestAstModel:
 
 class TestMiniJParser:
     def test_assignment_statement(self):
-        ast = parse_mini("x = 7;")
-        root = ast.node(ast.root)
-        assert root.kind == "AssignExpr"
-        left, right = (ast.node(c) for c in root.children)
-        assert (left.kind, left.value) == ("NameExpr", "x")
-        assert (right.kind, right.value) == ("IntegerLiteralExpr", "7")
+        (ast,) = parse_methods("void f() { x = 7; }")
+        assert write_sexpr_ast(ast) == (
+            '(MethodDecl (Type "void") (Name "f") (Block (AssignExpr '
+            '(NameExpr "x") (IntegerLiteralExpr "7"))))')
 
     def test_empty_input(self):
         with pytest.raises(MiniJSyntaxError, match="empty input"):
-            parse_mini("   \n ")
+            parse_methods("   \n ")
 
     def test_method_shape(self):
-        ast = parse_mini("boolean f(Object target) { return true; }")
+        (ast,) = parse_methods("boolean f(Object target) { return true; }")
         assert write_sexpr_ast(ast) == (
             '(MethodDecl (Type "boolean") (Name "f") '
             '(Parameter (Type "Object") (Name "target")) '
@@ -102,10 +100,11 @@ class TestMiniJParser:
 
     def test_deterministic(self):
         source = "int g(int a) { if (a > 0) { return a; } return 0 - a; }"
-        assert structurally_equal(parse_mini(source), parse_mini(source))
+        assert structurally_equal(parse_methods(source)[0],
+                                  parse_methods(source)[0])
 
     def test_foreach_and_operators(self):
-        ast = parse_mini(
+        (ast,) = parse_methods(
             "int sum(int[] xs) { int t = 0; for (int x : xs) { t = t + x; } return t; }")
         text = write_sexpr_ast(ast)
         assert "(Foreach (Type \"int\") (Name \"x\")" in text
@@ -113,7 +112,7 @@ class TestMiniJParser:
 
     def test_syntax_error_position(self):
         with pytest.raises(MiniJSyntaxError) as err:
-            parse_mini("int f() {\n return ; }")
+            parse_methods("int f() {\n return ; }")
         assert err.value.line == 2
 
     def test_parse_methods_splits_file(self):
@@ -123,45 +122,65 @@ class TestMiniJParser:
         assert len(asts) == 2
         assert [a.node(a.node(a.root).children[1]).value for a in asts] == ["a", "b"]
         # each tree holds only its own method's nodes
-        assert [len(a.nodes) for a in asts] == [len(parse_mini(s).nodes)
+        assert [len(a.nodes) for a in asts] == [len(parse_methods(s)[0].nodes)
                                                 for s in sources]
 
     def test_empty_block_rejected(self):
         with pytest.raises(MiniJSyntaxError, match="empty block"):
-            parse_mini("void f() { }")
+            parse_methods("void f() { }")
+
+    @pytest.mark.parametrize("shape", sorted(NESTING_SHAPES))
+    def test_nesting_at_the_limit_parses(self, shape):
+        (ast,) = parse_methods(NESTING_SHAPES[shape](MAX_NESTING))
+        assert ast.node(ast.root).kind == "MethodDecl"
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 10_000])
+    @pytest.mark.parametrize("shape", sorted(NESTING_SHAPES))
+    def test_nesting_past_the_limit_rejected(self, shape, depth):
+        with pytest.raises(MiniJSyntaxError,
+                           match=f"nesting deeper than {MAX_NESTING} levels"):
+            parse_methods(NESTING_SHAPES[shape](depth))
+
+    def test_nesting_error_points_at_the_opening_token(self):
+        prefix = "int f() { return "
+        with pytest.raises(MiniJSyntaxError) as err:
+            parse_methods(NESTING_SHAPES["parentheses"](MAX_NESTING + 1))
+        assert (err.value.line, err.value.column) == (1, len(prefix) + MAX_NESTING + 1)
 
 
 class TestSExpr:
     def test_example_tree(self):
-        ast = read_sexpr_ast('(AssignExpr (NameExpr "x") (IntegerLiteralExpr "7"))')
-        assert structurally_equal(ast, parse_mini("x = 7;"))
+        (ast,) = read_sexpr_asts('(MethodDecl (Type "void") (Name "f") (Block '
+                                 '(AssignExpr (NameExpr "x") (IntegerLiteralExpr "7"))))')
+        assert structurally_equal(ast, parse_methods("void f() { x = 7; }")[0])
 
     def test_single_terminal(self):
-        ast = read_sexpr_ast('(NameExpr "x")')
+        (ast,) = read_sexpr_asts('(NameExpr "x")')
         assert len(ast.nodes) == 1
         assert ast.node(ast.root).value == "x"
 
     def test_unbalanced(self):
         with pytest.raises(SExprError):
-            read_sexpr_ast('(Block (NameExpr "x")')
+            read_sexpr_asts('(Block (NameExpr "x")')
         with pytest.raises(SExprError):
-            read_sexpr_ast('(NameExpr "x"))')
+            read_sexpr_asts('(NameExpr "x"))')
 
     def test_terminal_with_children(self):
         with pytest.raises(SExprError):
-            read_sexpr_ast('(Block "v" (NameExpr "x"))')
+            read_sexpr_asts('(Block "v" (NameExpr "x"))')
 
     def test_nonterminal_with_value(self):
         with pytest.raises(SExprError):
-            read_sexpr_ast('(Block (NameExpr "x") "v")')
+            read_sexpr_asts('(Block (NameExpr "x") "v")')
 
     def test_escaped_quotes(self):
-        ast = read_sexpr_ast('(StringLiteralExpr "say \\"hi\\" \\\\ bye")')
+        (ast,) = read_sexpr_asts('(StringLiteralExpr "say \\"hi\\" \\\\ bye")')
         assert ast.node(ast.root).value == 'say "hi" \\ bye'
-        assert structurally_equal(read_sexpr_ast(write_sexpr_ast(ast)), ast)
+        (again,) = read_sexpr_asts(write_sexpr_ast(ast))
+        assert structurally_equal(again, ast)
 
     def test_open_kind_set(self):
-        ast = read_sexpr_ast('(WeirdJavaNode (SimpleName "q"))')
+        (ast,) = read_sexpr_asts('(WeirdJavaNode (SimpleName "q"))')
         assert ast.node(ast.root).kind == "WeirdJavaNode"
 
     def test_multiple_trees(self):
@@ -172,7 +191,7 @@ class TestSExpr:
         rng = np.random.default_rng(7)
         for ast in [random_ast(rng) for _ in range(1000)] + [deep_method(600)]:
             text = write_sexpr_ast(ast)
-            again = read_sexpr_ast(text)
+            (again,) = read_sexpr_asts(text)
             assert structurally_equal(ast, again)
             assert write_sexpr_ast(again) == text
 

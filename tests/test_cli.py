@@ -1,12 +1,21 @@
+import contextlib
+import io
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codevec.ast_tree import write_sexpr_ast
 from codevec.cli import main
 from codevec.corpus import load_dataset
+from codevec.minij import MAX_NESTING
 from codevec.model import AttentionVariant, load_model, save_model
 
-from conftest import deep_method, toy_minij_corpus
+from conftest import NESTING_SHAPES, deep_method, toy_minij_corpus
+
+GOOD_TREE = '(MethodDecl (Type "int") (Name "getX") (Block (Return (NameExpr "x"))))'
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +89,25 @@ class TestExtract:
         assert [ex.label for ex in examples] == ["getX", "deep"]
         assert all(ex.contexts for ex in examples)
 
+
+    @pytest.mark.parametrize("shape", sorted(NESTING_SHAPES))
+    def test_nesting_past_the_limit_is_data_error(self, shape, tmp_path, capsys):
+        src = tmp_path / "deep.mj"
+        src.write_text(NESTING_SHAPES[shape](10_000), encoding="utf-8")
+        assert main(["extract", str(src), "-o", str(tmp_path / "o.c2v")]) == 2
+        err = capsys.readouterr().err
+        assert re.search(rf"^{re.escape(str(src))}: 1:\d+: nesting deeper than "
+                         rf"{MAX_NESTING} levels$", err, re.M)
+        assert "Traceback" not in err
+
+    def test_bad_method_skipped_and_named(self, tmp_path, capsys):
+        src = tmp_path / "two.sexpr"
+        src.write_text(GOOD_TREE + '\n(Block (NameExpr "x"))\n', encoding="utf-8")
+        out = tmp_path / "o.c2v"
+        assert main(["extract", str(src), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{src}: expected a MethodDecl root, found 'Block'" in err
+        assert [ex.label for ex in load_dataset(str(out))] == ["getX"]
 
     def test_method_without_body_has_no_contexts(self, tmp_path, capsys):
         src = tmp_path / "tree.sexpr"
@@ -202,6 +230,15 @@ class TestTrainPredictEval:
         assert main(["predict", "--model", str(model_file), str(src)]) == 2
         assert "no path-contexts" in capsys.readouterr().err
 
+    def test_predict_skips_bad_method(self, model_file, tmp_path, capsys):
+        src = tmp_path / "three.sexpr"
+        src.write_text(f'{GOOD_TREE}\n(Block (NameExpr "x"))\n{GOOD_TREE}\n',
+                       encoding="utf-8")
+        assert main(["predict", "--model", str(model_file), str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.count("# getX\n") == 2
+        assert f"{src}: expected a MethodDecl root" in captured.err
+
     def test_corrupt_model_is_data_error(self, tmp_path, dataset_file, capsys):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"NOTAMODEL")
@@ -289,3 +326,70 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["train", "--train", "x", "-o", "y", "--variant", "mystery"])
         assert excinfo.value.code == 1
+
+    @pytest.mark.parametrize("argv", [
+        [*args, flag, value]
+        for args, flags in [
+            (["train", "--train", "t.c2v", "-o", "OUT"],
+             ["--dim", "--kmax", "--batch", "--epochs", "--patience",
+              "--max-values", "--max-paths", "--max-tags"]),
+            (["extract", "corpus.mj", "-o", "OUT"], ["--max-length"]),
+            (["predict", "--model", "m.bin", "corpus.mj"], ["--topk", "--max-length"]),
+            (["nearest", "--model", "m.bin", "a"], ["--topk"]),
+            (["combine", "--model", "m.bin", "a", "b"], ["--topk"]),
+            (["analogy", "--model", "m.bin", "a", "b", "c"], ["--topk"]),
+        ]
+        for flag in flags for value in ("0", "-1")
+    ] + [
+        ["extract", "corpus.mj", "-o", "OUT", "--max-width", "-1"],
+        ["predict", "--model", "m.bin", "corpus.mj", "--max-width", "-1"],
+    ], ids=" ".join)
+    def test_bad_count_flag(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(out) if arg == "OUT" else arg for arg in argv])
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        assert "must be >= " in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
+
+
+# Inputs for the MiniJ reader: one construct nested shallowly, or from just
+# below the parser's nesting limit to twice it, around a valid core or a
+# token soup of keywords, brackets, operators, names and literals. The last
+# construct is the bare soup.
+_NESTS = [  # (head, opener, core, closer, tail)
+    ("int f() { return ", "(", "x", ")", "; }"),
+    ("int f() { return ", "g(", "x", ")", "; }"),
+    ("int f() { return ", "a[", "0", "]", "; }"),
+    ("int f() { return ", "!", "x", "", "; }"),
+    ("int f() { ", "if (x) { ", "x;", " }", " }"),
+    ("int f() { ", "while (x) ", "x;", "", " }"),
+    ("", "", "", "", ""),
+]
+_SOUP = ["if", "else", "while", "for", "return", "true", "false", "int", "void",
+         "x", "f", "(", ")", "{", "}", "[", "]", ";", ",", ":", ".", "=", "+",
+         "-", "!", "==", "&&", "0", '"s"']
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(nest=st.sampled_from(_NESTS),
+       depth=st.integers(0, 8) | st.integers(MAX_NESTING - 2, 2 * MAX_NESTING),
+       soup=st.none() | st.lists(st.sampled_from(_SOUP), max_size=30))
+@settings(max_examples=150, deadline=None)
+def test_extract_fuzz_exits_cleanly(fuzz_dir, nest, depth, soup):
+    head, opener, core, closer, tail = nest
+    if soup is not None:
+        core = " ".join(soup)
+    src = fuzz_dir / "soup.mj"
+    src.write_text(head + opener * depth + core + closer * depth + tail,
+                   encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["extract", str(src), "-o", str(fuzz_dir / "soup.c2v")])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()

@@ -62,8 +62,8 @@ class TestBuildVocabs:
         examples = [RawExample("f", [ctx("a", "A^M_B", "b"),
                                      ctx("c", "C^M_D", "d")])]
         vocabs = build_vocabs(examples, max_values=4, max_paths=2, max_tags=1)
-        assert all(v in vocabs.values for v in "abcd")
-        assert "A^M_B" in vocabs.paths and "C^M_D" in vocabs.paths
+        assert set("abcd") <= set(vocabs.values.entries)
+        assert {"A^M_B", "C^M_D"} <= set(vocabs.paths.entries)
 
     def test_empty_dataset(self):
         with pytest.raises(DatasetFormatError):

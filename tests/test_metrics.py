@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from codevec.corpus import RawExample, build_vocabs, encode_example, example_rng
 from codevec.errors import DatasetFormatError
-from codevec.metrics import (Metrics, MetricsAccumulator, evaluate,
-                             evaluate_encoded, score_pair)
-from codevec.minij import parse_mini
+from codevec.metrics import Metrics, evaluate, evaluate_encoded, score_pair
+from codevec.minij import parse_methods
 
 from codevec.paths import ExtractionLimits
 from codevec.pipeline import method_to_example
@@ -51,11 +50,10 @@ class TestScorePair:
 
 class TestAccumulator:
     def test_micro_average_hand_counted(self):
-        acc = MetricsAccumulator()
-        acc.add("countLines", "countLines")      # tp=2
-        acc.add("lineCount", "countBlankLines")  # tp=1 fp=1 fn=2
-        acc.add("get", "setValue")               # fp=1 fn=2
-        result = acc.result()
+        result = Metrics()
+        result.add("countLines", "countLines")      # tp=2
+        result.add("lineCount", "countBlankLines")  # tp=1 fp=1 fn=2
+        result.add("get", "setValue")               # fp=1 fn=2
         assert (result.tp, result.fp, result.fn) == (3, 2, 4)
         assert result.precision == pytest.approx(3 / 5)
         assert result.recall == pytest.approx(3 / 7)
@@ -64,23 +62,24 @@ class TestAccumulator:
         assert result.count == 3
 
     def test_exact_match_requires_set_equality(self):
-        acc = MetricsAccumulator()
-        acc.add("linesCount", "countLines")
-        assert acc.result().exact_match == 1.0
+        result = Metrics()
+        result.add("linesCount", "countLines")
+        assert result.exact_match == 1.0
 
     def test_empty_accumulator(self):
-        result = MetricsAccumulator().result()
-        assert result == Metrics(0.0, 0.0, 0.0, 0.0, 0)
+        result = Metrics()
+        assert (result.tp, result.fp, result.fn, result.count) == (0, 0, 0, 0)
+        assert (result.precision, result.recall, result.f1,
+                result.exact_match) == (0.0, 0.0, 0.0, 0.0)
 
     def test_f1_bounds_random(self):
         rng = np.random.default_rng(3)
         words = ["get", "set", "count", "lines", "max", "value"]
-        acc = MetricsAccumulator()
+        result = Metrics()
         for _ in range(200):
             pred = "".join(rng.choice(words, size=rng.integers(1, 4)))
             true = "".join(rng.choice(words, size=rng.integers(1, 4)))
-            acc.add(pred, true)
-        result = acc.result()
+            result.add(pred, true)
         for value in (result.precision, result.recall, result.f1,
                       result.exact_match):
             assert 0.0 <= value <= 1.0
@@ -89,16 +88,16 @@ class TestAccumulator:
         assert result.f1 == pytest.approx(hmean)
 
     def test_summary_format(self):
-        acc = MetricsAccumulator()
-        acc.add("getX", "getX")
-        text = acc.result().summary()
+        result = Metrics()
+        result.add("getX", "getX")
+        text = result.summary()
         assert text == "P=1.0000 R=1.0000 F1=1.0000 exact=1.0000 n=1"
 
 
 def trained_toy():
     limits = ExtractionLimits(8, 2)
-    examples = [method_to_example(parse_mini(src), limits)
-                for src in toy_minij_corpus()]
+    examples = [method_to_example(ast, limits)
+                for ast in parse_methods("\n".join(toy_minij_corpus()))]
     vocabs = build_vocabs(examples)
     config = TrainConfig(dim=32, k_max=50, max_epochs=200, patience=200,
                          dropout_rate=0.0, batch_size=8, seed=5)
@@ -118,11 +117,10 @@ class TestEvaluate:
         per_example = []
         metrics = evaluate(params, examples, vocabs, per_example=per_example)
         assert len(per_example) == len(examples)
-        acc = MetricsAccumulator()
+        recount = Metrics()
         for true, predicted, tp, fp, fn in per_example:
             assert score_pair(predicted, true) == (tp, fp, fn)
-            acc.add(predicted, true)
-        recount = acc.result()
+            recount.add(predicted, true)
         assert metrics.f1 == pytest.approx(recount.f1)
         assert metrics.exact_match == pytest.approx(recount.exact_match)
 

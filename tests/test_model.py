@@ -10,7 +10,7 @@ from codevec.model import (AttentionVariant, ModelDims, ModelParams, forward,
                            init_params, load_model, predict_topk, save_model)
 from codevec.paths import PathContext, path_from_string
 
-from conftest import random_encoded
+from conftest import as_float32, random_encoded
 
 DIMS = ModelDims(d=4, num_values=6, num_paths=5, num_tags=4, k_max=5)
 
@@ -262,7 +262,7 @@ class TestSerialization:
         vocabs = tiny_vocabs()
         dims = ModelDims(4, len(vocabs.values), len(vocabs.paths),
                          len(vocabs.tags), 5)
-        params = init_params(dims, variant, seed).astype(np.float32)
+        params = as_float32(init_params(dims, variant, seed))
         return params, vocabs
 
     @pytest.mark.parametrize("variant", list(AttentionVariant))

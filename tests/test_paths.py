@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codevec.ast_tree import AstBuilder
-from codevec.minij import parse_mini
+from codevec.ast_tree import AstBuilder, read_sexpr_asts
+from codevec.minij import parse_methods
 from codevec.paths import (DOWN, UP, AstPath, ExtractionLimits, PathContext,
                            extract_path_contexts, path_from_string,
-                           path_to_string, reverse_path)
+                           path_to_string)
 from codevec.pipeline import method_to_example
 
 from conftest import (NONTERMINAL_KINDS, TERMINAL_KINDS,
@@ -17,9 +17,19 @@ from conftest import (NONTERMINAL_KINDS, TERMINAL_KINDS,
                       random_ast, random_path)
 
 
+# The tree of the statement `x = 7;`.
+ASSIGNMENT = '(AssignExpr (NameExpr "x") (IntegerLiteralExpr "7"))'
+
+
 def as_triples(contexts):
     return [(c.source_value, path_to_string(c.path), c.target_value)
             for c in contexts]
+
+
+def reverse_path(path: AstPath) -> AstPath:
+    """Mirror a path: reversed kinds, flipped and reversed directions."""
+    flipped = tuple(DOWN if d == UP else UP for d in reversed(path.directions))
+    return AstPath(tuple(reversed(path.kinds)), flipped)
 
 
 def reverse_context(ctx: PathContext) -> PathContext:
@@ -48,13 +58,13 @@ def random_method(rng: np.random.Generator):
 
 class TestExtraction:
     def test_assignment_example(self):
-        ast = parse_mini("x = 7;")
+        (ast,) = read_sexpr_asts(ASSIGNMENT)
         contexts = extract_path_contexts(ast, ExtractionLimits(8, 2))
         assert as_triples(contexts) == [
             ("x", "NameExpr^AssignExpr_IntegerLiteralExpr", "7")]
 
     def test_single_terminal_yields_nothing(self):
-        ast = parse_mini("x;")
+        (ast,) = read_sexpr_asts('(NameExpr "x")')
         assert extract_path_contexts(ast, ExtractionLimits()) == []
 
     def test_matches_oracle_on_random_trees(self):
@@ -67,7 +77,7 @@ class TestExtraction:
             assert got == oracle_path_contexts(ast, limits)
 
     def test_limits_filter(self):
-        ast = parse_mini("boolean f(Object target) { return true; }")
+        (ast,) = parse_methods("boolean f(Object target) { return true; }")
         wide = as_triples(extract_path_contexts(ast, ExtractionLimits(8, 3)))
         narrow = as_triples(extract_path_contexts(ast, ExtractionLimits(8, 0)))
         short = as_triples(extract_path_contexts(ast, ExtractionLimits(2, 3)))
@@ -92,7 +102,7 @@ class TestExtraction:
             ast = random_ast(rng)
             for ctx in extract_path_contexts(ast, limits):
                 directions = ctx.path.directions
-                assert ctx.path.length <= limits.max_length
+                assert len(directions) <= limits.max_length
                 # ascent-then-descent: no UP after a DOWN
                 seen_down = False
                 for d in directions:
@@ -109,7 +119,7 @@ class TestExtraction:
                 == as_triples(extract_path_contexts(ast, limits)))
 
     def test_output_order_follows_terminal_pairs(self):
-        ast = parse_mini("boolean f(Object t) { return true; }")
+        (ast,) = parse_methods("boolean f(Object t) { return true; }")
         contexts = extract_path_contexts(ast, ExtractionLimits(10, 10))
         sources = [c.source_value for c in contexts]
         # DFS terminal order: boolean, f, Object, t, true
@@ -141,7 +151,6 @@ class TestPathStrings:
 
     def test_minimal_path(self):
         path = AstPath(("Name", "Block", "Name"), (UP, DOWN))
-        assert path.length == 2
         assert path_to_string(path) == "Name^Block_Name"
 
     def test_long_mixed_path_renders(self):
@@ -193,7 +202,7 @@ class TestReverse:
         assert reverse_path(reverse_path(path)) == path
 
     def test_context_mirror(self):
-        ast = parse_mini("x = 7;")
+        (ast,) = read_sexpr_asts(ASSIGNMENT)
         (ctx,) = extract_path_contexts(ast, ExtractionLimits())
         mirrored = reverse_context(ctx)
         assert (mirrored.source_value, mirrored.target_value) == ("7", "x")

@@ -5,12 +5,12 @@ from codevec.corpus import (PAD_ID, EncodedExample, RawExample,
                             build_vocabs, stack_examples)
 from codevec.errors import TrainingError
 from codevec.metrics import evaluate
-from codevec.minij import parse_mini
+from codevec.minij import parse_methods
 from codevec.model import (AttentionVariant, ModelDims, forward, init_params)
 from codevec.paths import ExtractionLimits
 from codevec.pipeline import method_to_example
-from codevec.training import (AdamState, Gradients, TrainConfig, adam_step,
-                              backward, loss, train)
+from codevec.training import (ADAM_EPSILON, AdamState, Gradients,
+                              TrainConfig, adam_step, backward, loss, train)
 
 from conftest import dense_gradients, random_encoded, toy_minij_corpus
 
@@ -219,7 +219,7 @@ class TestAdam:
         for name, arr in params.groups().items():
             g = dense[name]
             expected = before[name] - config.learning_rate * g / (
-                np.abs(g) + config.epsilon)
+                np.abs(g) + ADAM_EPSILON)
             assert np.allclose(arr, expected, atol=1e-12)
 
     def test_untouched_rows_keep_parameters_and_moments(self):
@@ -275,8 +275,8 @@ class TestDescentAndTraining:
 
     def toy_dataset(self):
         limits = ExtractionLimits(8, 2)
-        return [method_to_example(parse_mini(src), limits)
-                for src in toy_minij_corpus()]
+        return [method_to_example(ast, limits)
+                for ast in parse_methods("\n".join(toy_minij_corpus()))]
 
     def test_overfit_toy_corpus(self):
         examples = self.toy_dataset()
@@ -356,3 +356,7 @@ class TestDescentAndTraining:
             TrainConfig(dropout_rate=1.0)
         with pytest.raises(ValueError):
             TrainConfig(patience=0)
+        with pytest.raises(ValueError, match="batch size"):
+            TrainConfig(batch_size=0)
+        with pytest.raises(ValueError, match="max epochs"):
+            TrainConfig(max_epochs=0)
