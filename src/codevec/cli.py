@@ -4,15 +4,17 @@ analogy. Exit codes: 1 usage, 2 data, 3 numeric failure."""
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .ast_tree import read_sexpr_asts
-from .corpus import (ABLATIONS, build_vocabs, encode_example, example_rng,
-                     load_dataset, write_dataset)
+from .corpus import (ABLATIONS, RawExample, build_vocabs, encode_example,
+                     example_rng, load_dataset, sample_contexts, write_dataset)
 from .errors import CodevecError, TrainingError
 from .metrics import evaluate
 from .minij import parse_methods
-from .model import AttentionVariant, forward, load_model, predict_topk, save_model
+from .model import (MAX_SLOTS, AttentionVariant, forward, load_model, predict_topk,
+                    save_model)
 from .paths import ExtractionLimits, path_to_string
 from .pipeline import method_to_example
 from .training import TrainConfig, train
@@ -30,17 +32,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than `low`."""
-    def integer(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+def _checked(convert, ok, requirement: str):
+    """argparse type: `convert(text)`, a usage error unless `ok` holds."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {value}")
         return value
-    return integer
+    # argparse names the type in "invalid <name> value: ..."
+    parse.__name__ = "integer" if convert is int else convert.__name__
+    return parse
 
 
-_positive_int = _int_at_least(1)
+_positive_int = _checked(int, lambda v: v >= 1, ">= 1")
 
 
 def _fail(failures: list[str], message: str) -> None:
@@ -61,7 +65,7 @@ def _method_examples(args, failures: list[str]):
                 text = handle.read()
             read = read_sexpr_asts if text.lstrip().startswith("(") else parse_methods
             methods = read(text)
-        except (CodevecError, OSError) as exc:
+        except (CodevecError, OSError, UnicodeDecodeError) as exc:
             _fail(failures, f"{path}: {exc}")
             continue
         for ast in methods:
@@ -117,13 +121,15 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     params, vocabs = load_model(args.model)
+    k_max = params.dims.k_max
     failures: list[str] = []
     for path, example in _method_examples(args, failures):
         if not example.contexts:
             _fail(failures, f"{path}: method {example.label!r} has no path-contexts")
             continue
-        encoded = encode_example(example, vocabs, params.dims.k_max,
-                                 example_rng(args.seed, 0))
+        rng = example_rng(args.seed, 0)  # one draw, shared by top-k and --attention
+        example = RawExample(example.label, sample_contexts(example.contexts, k_max, rng))
+        encoded = encode_example(example, vocabs, k_max, rng)
         print(f"# {example.label}")
         for tag, prob in predict_topk(params, encoded, args.topk, vocabs):
             print(f"{tag} {prob:.6f}")
@@ -133,13 +139,11 @@ def cmd_predict(args) -> int:
 
 
 def _print_attention(params, example, encoded) -> None:
-    trace = forward(params, encoded, mode="infer")
-    alpha = trace.alpha
+    alpha = forward(params, encoded, mode="infer").alpha
     if alpha.ndim == 2:  # element-wise: report the per-context mean weight
         alpha = alpha.mean(axis=1)
-    weighted = [(float(alpha[i]), ctx) for i, ctx in enumerate(example.contexts)
-                if i < len(alpha) and trace.mask[i]]
-    for weight, ctx in sorted(weighted, key=lambda pair: -pair[0]):
+    # Slot i holds context i: `example` holds only the contexts that fill the slots.
+    for weight, ctx in sorted(zip(alpha, example.contexts), key=lambda pair: -pair[0]):
         print(f"  {weight:.4f} {ctx.source_value},{path_to_string(ctx.path)},"
               f"{ctx.target_value}")
 
@@ -158,36 +162,20 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _print_ranking(ranking) -> None:
+def cmd_query(args) -> int:
+    """`nearest`, `combine` or `analogy`: the table method of that name."""
+    params, vocabs = load_model(args.model)
+    query = getattr(NameVectorTable.from_params(params, vocabs), args.command)
+    ranking = query(*(getattr(args, name) for name in args.names), args.topk)
     for rank, (tag, score) in enumerate(ranking, start=1):
         print(f"{rank} {tag} {score:.6f}")
-
-
-def _load_table(path: str) -> NameVectorTable:
-    params, vocabs = load_model(path)
-    return NameVectorTable.from_params(params, vocabs)
-
-
-def cmd_nearest(args) -> int:
-    _print_ranking(_load_table(args.model).nearest(args.name, args.topk))
-    return 0
-
-
-def cmd_combine(args) -> int:
-    _print_ranking(_load_table(args.model).combine(args.name_a, args.name_b,
-                                                   args.topk))
-    return 0
-
-
-def cmd_analogy(args) -> int:
-    _print_ranking(_load_table(args.model).analogy(args.a, args.b, args.c,
-                                                   args.topk))
     return 0
 
 
 def _add_limits(parser) -> None:
     parser.add_argument("--max-length", type=_positive_int, default=8)
-    parser.add_argument("--max-width", type=_int_at_least(0), default=2)
+    parser.add_argument("--max-width", type=_checked(int, lambda v: v >= 0, ">= 0"),
+                        default=2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,9 +193,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val")
     p.add_argument("--output", "-o", required=True)
     p.add_argument("--dim", type=_positive_int, default=128)
-    p.add_argument("--kmax", type=_positive_int, default=200)
-    p.add_argument("--dropout", type=float, default=0.25)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--kmax", default=200, type=_checked(
+        int, lambda v: 1 <= v <= MAX_SLOTS, f">= 1 and <= {MAX_SLOTS}"))
+    p.add_argument("--dropout", type=_checked(float, lambda v: 0 <= v < 1, "in [0, 1)"),
+                   default=0.25)
+    p.add_argument("--lr", type=_checked(float, lambda v: 0 < v < math.inf,
+                                         "finite and > 0"), default=1e-3)
     p.add_argument("--batch", type=_positive_int, default=32)
     p.add_argument("--epochs", type=_positive_int, default=20)
     p.add_argument("--patience", type=_positive_int, default=3)
@@ -240,26 +231,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-example", help="write per-example TSV to this path")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("nearest", help="nearest names by cosine similarity")
-    p.add_argument("--model", required=True)
-    p.add_argument("name")
-    p.add_argument("--topk", type=_positive_int, default=10)
-    p.set_defaults(func=cmd_nearest)
-
-    p = sub.add_parser("combine", help="names most similar to two names combined")
-    p.add_argument("--model", required=True)
-    p.add_argument("name_a")
-    p.add_argument("name_b")
-    p.add_argument("--topk", type=_positive_int, default=10)
-    p.set_defaults(func=cmd_combine)
-
-    p = sub.add_parser("analogy", help="a - b + c name analogy")
-    p.add_argument("--model", required=True)
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("c")
-    p.add_argument("--topk", type=_positive_int, default=10)
-    p.set_defaults(func=cmd_analogy)
+    for command, names, summary in (
+            ("nearest", ("name",), "nearest names by cosine similarity"),
+            ("combine", ("name_a", "name_b"), "names most similar to two names combined"),
+            ("analogy", ("a", "b", "c"), "a - b + c name analogy")):
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--model", required=True)
+        for name in names:  # one positional each: argparse's usage errors stay plain
+            p.add_argument(name)
+        p.add_argument("--topk", type=_positive_int, default=10)
+        p.set_defaults(func=cmd_query, names=names)
     return parser
 
 

@@ -149,21 +149,28 @@ def example_rng(global_seed: int, ordinal: int, epoch: int = 0) -> np.random.Gen
         np.random.SeedSequence((global_seed, epoch, ordinal))))
 
 
+def sample_contexts(contexts: list[PathContext], k_max: int,
+                    rng: np.random.Generator) -> list[PathContext]:
+    """The contexts that fill an example's k_max slots: all of them when
+    they fit, else k_max drawn without replacement, in their input order."""
+    if len(contexts) <= k_max:
+        return contexts
+    keep = rng.choice(len(contexts), size=k_max, replace=False)
+    return [contexts[i] for i in sorted(keep)]
+
+
 def encode_example(raw: RawExample, vocabs: Vocabs, k_max: int,
                    rng: np.random.Generator,
                    ablation: AblationMask = ABLATIONS["full"]) -> EncodedExample:
-    """Index a raw example, sampling down to k_max contexts without
-    replacement when necessary and padding with masked slots otherwise.
+    """Index a raw example, filling the slots with `sample_contexts` and
+    padding the rest with masked slots.
 
     Hidden (ablated) components and out-of-vocabulary components map to
     UNK. An example with zero contexts encodes with an all-zero mask.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    contexts = raw.contexts
-    if len(contexts) > k_max:
-        keep = rng.choice(len(contexts), size=k_max, replace=False)
-        contexts = [contexts[i] for i in sorted(keep)]
+    contexts = sample_contexts(raw.contexts, k_max, rng)
     sources = np.full(k_max, PAD_ID, dtype=np.int64)
     paths = np.full(k_max, PAD_ID, dtype=np.int64)
     targets = np.full(k_max, PAD_ID, dtype=np.int64)
@@ -225,7 +232,10 @@ def read_dataset(stream: Iterable[str]) -> Iterator[RawExample]:
 
 def load_dataset(path: str) -> list[RawExample]:
     with open(path, encoding="utf-8") as handle:
-        return list(read_dataset(handle))
+        try:
+            return list(read_dataset(handle))
+        except UnicodeDecodeError as exc:
+            raise DatasetFormatError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 # --- vocabulary block format (embedded in the model file) --------------------

@@ -56,7 +56,9 @@ def _lex(source: str) -> list[Token]:
             if j >= n:
                 raise MiniJSyntaxError("unterminated string literal", line, col)
             tokens.append(Token("string", source[i + 1:j], line, col))
-            col += j + 1 - i
+            newlines = source.count("\n", i, j)
+            line += newlines
+            col = j + 1 - source.rfind("\n", i, j) if newlines else col + j + 1 - i
             i = j + 1
             continue
         if ch.isdigit():

@@ -30,6 +30,11 @@ _VARIANT_CODES = {v: i for i, v in enumerate(AttentionVariant)}
 _CODE_VARIANTS = {i: v for v, i in _VARIANT_CODES.items()}
 
 
+# Largest k_max, the context slots per example, a model may have: a model
+# file read from disk sets how many slots predict and eval allocate.
+MAX_SLOTS = 1 << 16
+
+
 @dataclass(frozen=True)
 class ModelDims:
     d: int
@@ -43,8 +48,8 @@ class ModelDims:
             raise ValueError("embedding size must be >= 1")
         if min(self.num_values, self.num_paths, self.num_tags) <= 2:
             raise ValueError("vocabularies must contain at least one real entry")
-        if self.k_max < 1:
-            raise ValueError("k_max must be >= 1")
+        if not 1 <= self.k_max <= MAX_SLOTS:
+            raise ValueError(f"k_max must be in [1, {MAX_SLOTS}]")
 
 
 @dataclass
@@ -77,11 +82,10 @@ class ForwardTrace:
     those of one example; a stacked batch adds a leading batch axis."""
 
     context_vectors: np.ndarray   # (k, 3d) after dropout scaling
-    dropout_scale: np.ndarray     # (k, 3d) multiplier applied to raw contexts
+    dropout_scale: np.ndarray | float  # (k, 3d) train-mode dropout multiplier, else 1.0
     combined: np.ndarray          # (k, dc)
     alpha: np.ndarray
     code_vector: np.ndarray       # (dc,)
-    logits: np.ndarray            # (|Y|,)
     q: np.ndarray                 # (|Y|,), q[PAD] == 0
     mask: np.ndarray              # (k,)
     attention_kind: str           # 'soft' | 'uniform' | 'hard' | 'elementwise'
@@ -139,14 +143,13 @@ def _attention_kind(variant: AttentionVariant, mode: str) -> str:
 
 def forward(params: ModelParams, example: EncodedExample, mode: str = "infer",
             dropout_rate: float = 0.0, rng: np.random.Generator | None = None,
-            dropout_mask: np.ndarray | None = None) -> ForwardTrace:
+            ) -> ForwardTrace:
     """Compute the full forward pass for one encoded example, or for a
     batch stacked by `corpus.stack_examples`: its arrays carry a leading
     batch axis, and so does every array of the trace.
 
-    In train mode, inverted dropout with the given rate is applied to the
-    context vectors (kept entries scaled by 1/keep); pass `dropout_mask`
-    to reuse a recorded binary mask, e.g. for finite-difference checks.
+    In train mode, inverted dropout with the given rate, drawn from `rng`,
+    is applied to the context vectors (kept entries scaled by 1/keep).
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -161,16 +164,13 @@ def forward(params: ModelParams, example: EncodedExample, mode: str = "infer",
         params.value_vocab[example.targets],
     ], axis=-1) * mask[..., None]
 
+    scale = 1.0
     if mode == "train" and dropout_rate > 0.0:
+        if rng is None:
+            raise ValueError("train-mode dropout requires an rng")
         keep = 1.0 - dropout_rate
-        if dropout_mask is None:
-            if rng is None:
-                raise ValueError("train-mode dropout requires an rng or a recorded mask")
-            dropout_mask = (rng.random(contexts.shape) < keep).astype(contexts.dtype)
-        scale = dropout_mask / keep
-    else:
-        scale = np.ones_like(contexts)
-    contexts = contexts * scale
+        scale = (rng.random(contexts.shape) < keep).astype(contexts.dtype) / keep
+        contexts = contexts * scale
 
     if params.variant is AttentionVariant.SOFT_NO_FC:
         combined = contexts
@@ -202,14 +202,13 @@ def forward(params: ModelParams, example: EncodedExample, mode: str = "infer",
     # PAD is never a real label: q[PAD] == 0.
     q = _masked_softmax(logits, np.arange(logits.shape[-1]) != PAD_ID, axis=-1)
 
-    return ForwardTrace(contexts, scale, combined, alpha, code_vector,
-                        logits, q, mask, kind)
+    return ForwardTrace(contexts, scale, combined, alpha, code_vector, q, mask, kind)
 
 
 def predict_topk(params: ModelParams, example: EncodedExample, k: int,
-                 vocabs: Vocabs | None = None):
-    """Top-k tags by probability, ties broken by tag id ascending. Returns
-    (tag string, probability) pairs when vocabs is given, else tag ids.
+                 vocabs: Vocabs) -> list[tuple[str, float]]:
+    """Top-k (tag, probability) pairs by probability, ties broken by tag id
+    ascending.
 
     Only the shortlist of tags scoring at least the k-th largest
     probability is sorted; it keeps every tie that straddles position k.
@@ -219,8 +218,6 @@ def predict_topk(params: ModelParams, example: EncodedExample, k: int,
     kth = q[np.argpartition(-q, k - 1)[k - 1]]
     shortlist = np.flatnonzero(q >= kth)
     ranked = shortlist[np.lexsort((shortlist, -q[shortlist]))][:k]
-    if vocabs is None:
-        return [(int(i), float(q[i])) for i in ranked]
     return [(vocabs.tags.entry(int(i)), float(q[i])) for i in ranked]
 
 
@@ -286,4 +283,6 @@ def load_model(path: str) -> tuple[ModelParams, Vocabs]:
                 raise ModelFormatError(f"non-finite values in {name}")
     except struct.error as exc:
         raise ModelFormatError(f"truncated model file: {exc}") from None
+    except ValueError as exc:  # header dimensions, or a vocabulary block not in UTF-8
+        raise ModelFormatError(f"bad model file: {exc}") from None
     return ModelParams(dims, variant, **{"W": None, **groups}), vocabs

@@ -151,8 +151,8 @@ class TrainConfig:
     dim: int = 128
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError("learning rate must be finite and positive")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout rate must be in [0, 1)")
         if self.batch_size < 1:
@@ -268,4 +268,10 @@ def train(train_set: list[RawExample], val_set: list[RawExample], vocabs: Vocabs
             best_epoch = epoch
         elif epoch - best_epoch >= config.patience:
             break
+    # The model file holds single precision: every value must be finite there.
+    limit = np.finfo(np.float32).max
+    for name, arr in best_params.groups().items():
+        if not -limit <= arr.min() <= arr.max() <= limit:
+            raise TrainingError(f"{name} is not finite in single precision "
+                                f"after epoch {best_epoch}")
     return best_params, history

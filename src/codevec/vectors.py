@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import PAD_ID, UNK_ID, Vocabs
+from .corpus import UNK_ID, Vocabs
 from .errors import VectorQueryError
 from .model import ModelParams
 
@@ -34,14 +34,10 @@ class NameVectorTable:
 
     @classmethod
     def from_params(cls, params: ModelParams, vocabs: Vocabs) -> "NameVectorTable":
-        names, rows = [], []
-        for idx in range(len(vocabs.tags)):
-            row = params.tags_vocab[idx]
-            if idx in (PAD_ID, UNK_ID) or np.linalg.norm(row) == 0.0:
-                continue
-            names.append(vocabs.tags.entry(idx))
-            rows.append(row)
-        return cls(names, np.array(rows, dtype=np.float64))
+        # Tag ids past the reserved PAD and UNK whose row is not zero, in id order.
+        norms = np.linalg.norm(params.tags_vocab[:len(vocabs.tags)], axis=1)
+        keep = UNK_ID + 1 + np.flatnonzero(norms[UNK_ID + 1:])
+        return cls([vocabs.tags.entry(i) for i in keep], params.tags_vocab[keep])
 
     def vector(self, name: str) -> np.ndarray:
         idx = self._index.get(name)

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 
 from codevec.ast_tree import Ast, AstBuilder, normalize_value
-from codevec.corpus import EncodedExample, PAD_ID
+from codevec.corpus import EncodedExample, PAD_ID, Vocab, Vocabs
 from codevec.model import ModelDims
 from codevec.paths import AstPath, DOWN, UP, ExtractionLimits
 
@@ -172,6 +172,14 @@ def random_encoded(rng: np.random.Generator, dims: ModelDims,
     mask[:n_valid] = 1.0
     label = int(rng.integers(1, dims.num_tags))
     return EncodedExample(label, sources, paths, targets, mask)
+
+
+def tag_vocabs(num_tags: int) -> Vocabs:
+    """Vocabularies with `num_tags` tags, reserved ids included; tag id i
+    past PAD and UNK is named `tag<i>`. The value and path vocabularies are
+    empty: only the tag names are read."""
+    return Vocabs(Vocab([]), Vocab([]),
+                  Vocab([(f"tag{i}", 1) for i in range(2, num_tags)]))
 
 
 def as_float32(params):

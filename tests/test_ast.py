@@ -115,6 +115,16 @@ class TestMiniJParser:
             parse_methods("int f() {\n return ; }")
         assert err.value.line == 2
 
+    def test_position_after_multi_line_string(self):
+        # A string literal may span lines; the lexer counts the lines in it.
+        with pytest.raises(MiniJSyntaxError) as err:
+            parse_methods('void f() {\n  s = "a\nb";\n  x = @;\n}')
+        assert (err.value.line, err.value.column) == (4, 7)
+        with pytest.raises(MiniJSyntaxError) as err:
+            parse_methods('void f() {\n  s = "a\n\nbc" + @;\n}')
+        assert (err.value.line, err.value.column) == (4, 7)
+        assert len(parse_methods('void f() { s = "a\nb"; }')) == 1
+
     def test_parse_methods_splits_file(self):
         sources = ["int a(int x) { return x; }",
                    "int b(int y) { return y + 1; }"]

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from codevec.ast_tree import write_sexpr_ast
 from codevec.cli import main
-from codevec.corpus import load_dataset
-from codevec.minij import MAX_NESTING
-from codevec.model import AttentionVariant, load_model, save_model
+from codevec.corpus import example_rng, load_dataset
+from codevec.minij import MAX_NESTING, parse_methods
+from codevec.model import MAX_SLOTS, AttentionVariant, load_model, save_model
+from codevec.paths import ExtractionLimits, path_to_string
+from codevec.pipeline import method_to_example
 
 from conftest import NESTING_SHAPES, deep_method, toy_minij_corpus
 
@@ -108,6 +110,18 @@ class TestExtract:
         err = capsys.readouterr().err
         assert f"{src}: expected a MethodDecl root, found 'Block'" in err
         assert [ex.label for ex in load_dataset(str(out))] == ["getX"]
+
+    def test_non_utf8_file_skipped_and_named(self, tmp_path, capsys):
+        files = [tmp_path / name for name in ("a.mj", "b.mj", "c.mj")]
+        files[0].write_text("int getA() { return a; }", encoding="utf-8")
+        files[1].write_bytes(b"int getB() { return \xff; }")
+        files[2].write_text("int getC() { return c; }", encoding="utf-8")
+        out = tmp_path / "o.c2v"
+        assert main(["extract", *map(str, files), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{files[1]}: 'utf-8' codec can't decode byte 0xff" in err
+        assert "Traceback" not in err
+        assert [ex.label for ex in load_dataset(str(out))] == ["getA", "getC"]
 
     def test_method_without_body_has_no_contexts(self, tmp_path, capsys):
         src = tmp_path / "tree.sexpr"
@@ -221,6 +235,41 @@ class TestTrainPredictEval:
         assert sum(weights) == pytest.approx(1.0, abs=1e-3)
         assert all("," in line for line in out if line.startswith("  "))
 
+    def test_attention_lists_the_contexts_in_the_slots(self, dataset_file,
+                                                      tmp_path, capsys):
+        # A method with more contexts than k_max fills its slots with a
+        # sample drawn from example_rng(seed, 0); --attention prints
+        # exactly the sampled contexts, one line per slot.
+        model = tmp_path / "k4.bin"
+        assert main(["train", "--train", str(dataset_file), "-o", str(model),
+                     "--dim", "8", "--kmax", "4", "--epochs", "1",
+                     "--patience", "1"]) == 0
+        source = "int getCount(int a, int b) { int total = a + b; return total; }"
+        src = tmp_path / "long.mj"
+        src.write_text(source, encoding="utf-8")
+        contexts = method_to_example(parse_methods(source)[0],
+                                     ExtractionLimits(8, 2)).contexts
+        keep = sorted(example_rng(0, 0).choice(len(contexts), size=4, replace=False))
+        expected = sorted(f"{c.source_value},{path_to_string(c.path)},{c.target_value}"
+                          for c in (contexts[i] for i in keep))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), str(src), "--topk", "1",
+                     "--attention"]) == 0
+        printed = [line.split()[1] for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("  ")]
+        assert len(contexts) > 4 and sorted(printed) == expected
+
+    def test_predict_skips_non_utf8_file(self, model_file, corpus_file, tmp_path,
+                                         capsys):
+        bad = tmp_path / "bad.mj"
+        bad.write_bytes(b"int f() { return \xff; }")
+        assert main(["predict", "--model", str(model_file), str(bad),
+                     str(corpus_file), "--topk", "1"]) == 2
+        captured = capsys.readouterr()
+        assert f"{bad}: 'utf-8' codec can't decode" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out.count("# ") == 50
+
     def test_predict_no_contexts_is_data_error(self, model_file, tmp_path,
                                                capsys):
         src = tmp_path / "tiny.sexpr"
@@ -262,6 +311,19 @@ class TestTrainPredictEval:
                      "--dim", "8", "--kmax", "20", "--lr", "1e300"]) == 3
         err = capsys.readouterr().err
         assert "non-finite loss at epoch" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_model_past_single_precision_is_numeric_failure(self, dataset_file,
+                                                            tmp_path, capsys):
+        # The one step's loss is finite; the parameters it leaves are not,
+        # once written in single precision.
+        out = tmp_path / "m.bin"
+        assert main(["train", "--train", str(dataset_file), "-o", str(out),
+                     "--dim", "8", "--kmax", "20", "--lr", "1e300",
+                     "--epochs", "1", "--batch", "64"]) == 3
+        err = capsys.readouterr().err
+        assert "numeric failure: " in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("variant", [v.value for v in AttentionVariant])
@@ -343,6 +405,12 @@ class TestUsageErrors:
     ] + [
         ["extract", "corpus.mj", "-o", "OUT", "--max-width", "-1"],
         ["predict", "--model", "m.bin", "corpus.mj", "--max-width", "-1"],
+        ["train", "--train", "t.c2v", "-o", "OUT", "--kmax", str(MAX_SLOTS + 1)],
+    ] + [
+        ["train", "--train", "t.c2v", "-o", "OUT", flag, value]
+        for flag, values in [("--dropout", ["1.0", "-0.5", "nan"]),
+                             ("--lr", ["0", "-1", "nan", "inf"])]
+        for value in values
     ], ids=" ".join)
     def test_bad_count_flag(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
@@ -350,7 +418,9 @@ class TestUsageErrors:
             main([str(out) if arg == "OUT" else arg for arg in argv])
         assert excinfo.value.code == 1
         captured = capsys.readouterr()
-        assert "must be >= " in captured.err and "Traceback" not in captured.err
+        requirement = {"--dropout": "must be in [0, 1), got ",
+                       "--lr": "must be finite and > 0, got "}.get(argv[-2], "must be >= ")
+        assert requirement in captured.err and "Traceback" not in captured.err
         assert captured.out == "" and not out.exists()
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from codevec.corpus import (ABLATIONS, PAD_ID, UNK_ID, RawExample, Vocabs,
                             build_vocabs, encode_example, example_rng,
-                            format_example, format_vocabs, parse_example,
+                            format_example, format_vocabs, load_dataset, parse_example,
                             parse_vocabs, read_dataset, split_subtokens,
                             write_dataset)
 from codevec.errors import DatasetFormatError
@@ -189,6 +189,12 @@ class TestDatasetFormat:
     def test_empty_label(self):
         with pytest.raises(DatasetFormatError):
             parse_example(" x,A^M_B,7", lineno=3)
+
+    def test_file_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.c2v"
+        path.write_bytes(b"getX x,NameExpr^Return,y\nget\xff\n")
+        with pytest.raises(DatasetFormatError, match="bad.c2v: not UTF-8"):
+            load_dataset(str(path))
 
     def test_bare_label_round_trips(self):
         raw = RawExample("lonely", [])

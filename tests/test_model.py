@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,11 +7,12 @@ import pytest
 from codevec.corpus import (PAD_ID, EncodedExample, RawExample,
                             build_vocabs, encode_example, example_rng)
 from codevec.errors import ModelFormatError
-from codevec.model import (AttentionVariant, ModelDims, ModelParams, forward,
-                           init_params, load_model, predict_topk, save_model)
+from codevec.model import (MAX_SLOTS, AttentionVariant, ModelDims, ModelParams,
+                           forward, init_params, load_model, predict_topk,
+                           save_model)
 from codevec.paths import PathContext, path_from_string
 
-from conftest import as_float32, random_encoded
+from conftest import as_float32, random_encoded, tag_vocabs
 
 DIMS = ModelDims(d=4, num_values=6, num_paths=5, num_tags=4, k_max=5)
 
@@ -209,7 +211,7 @@ class TestPredict:
         rng = np.random.default_rng(8)
         params = init_params(DIMS, AttentionVariant.SOFT, 4)
         example = random_encoded(rng, DIMS)
-        ranked = predict_topk(params, example, DIMS.num_tags)
+        ranked = predict_topk(params, example, DIMS.num_tags, tag_vocabs(DIMS.num_tags))
         assert sum(p for _, p in ranked) == pytest.approx(1.0, abs=1e-9)
         probs = [p for _, p in ranked]
         assert probs == sorted(probs, reverse=True)
@@ -218,7 +220,8 @@ class TestPredict:
         rng = np.random.default_rng(9)
         params = init_params(DIMS, AttentionVariant.SOFT, 4)
         example = random_encoded(rng, DIMS)
-        assert len(predict_topk(params, example, 100)) == DIMS.num_tags
+        vocabs = tag_vocabs(DIMS.num_tags)
+        assert len(predict_topk(params, example, 100, vocabs)) == DIMS.num_tags
 
     @pytest.mark.parametrize("k", [1, 3, 5, 12])
     def test_ties_ranked_by_id_like_a_full_sort(self, k):
@@ -236,7 +239,9 @@ class TestPredict:
         q = forward(params, example).q
         assert q[ids[4]] == q[ids[5]] == q[ids[6]] > q[ids[7]] == q[ids[8]]
         full = np.lexsort((np.arange(len(q)), -q))[:k]
-        assert predict_topk(params, example, k) == [(int(i), float(q[i])) for i in full]
+        vocabs = tag_vocabs(dims.num_tags)
+        assert predict_topk(params, example, k, vocabs) == [
+            (vocabs.tags.entry(int(i)), float(q[i])) for i in full]
 
     def test_train_soft_predict_hard_uses_hard_at_inference(self):
         rng = np.random.default_rng(10)
@@ -245,7 +250,9 @@ class TestPredict:
         hard = ModelParams(DIMS, AttentionVariant.HARD, mixed.value_vocab,
                            mixed.path_vocab, mixed.W, mixed.attention,
                            mixed.tags_vocab)
-        assert predict_topk(mixed, example, 3) == predict_topk(hard, example, 3)
+        vocabs = tag_vocabs(DIMS.num_tags)
+        assert predict_topk(mixed, example, 3, vocabs) == predict_topk(
+            hard, example, 3, vocabs)
         soft_trace = forward(mixed, example, mode="train")
         assert 0.0 < soft_trace.alpha.max() < 1.0
 
@@ -282,12 +289,12 @@ class TestSerialization:
         params, vocabs = self.make_model(AttentionVariant.SOFT, seed=3)
         path = str(tmp_path / "model.bin")
         save_model(path, params, vocabs)
-        loaded, _ = load_model(path)
+        loaded, loaded_vocabs = load_model(path)
         rng = np.random.default_rng(0)
         for _ in range(100):
             example = random_encoded(rng, params.dims)
-            assert predict_topk(params, example, 3) == predict_topk(
-                loaded, example, 3)
+            assert predict_topk(params, example, 3, vocabs) == predict_topk(
+                loaded, example, 3, loaded_vocabs)
 
     def test_non_finite_matrix_rejected(self, tmp_path):
         params, vocabs = self.make_model(AttentionVariant.SOFT)
@@ -296,6 +303,30 @@ class TestSerialization:
         save_model(path, params, vocabs)
         with pytest.raises(ModelFormatError, match="non-finite values in W"):
             load_model(path)
+
+    # Header u32 fields 0-5 after the magic: variant, d, |X|, |P|, |Y|, k_max.
+    @pytest.mark.parametrize("field,value", [
+        (1, 0), (5, 0), (5, MAX_SLOTS + 1), (2, 2), (4, 1)],
+        ids=["d=0", "k_max=0", "k_max too large", "2 values", "1 tag"])
+    def test_bad_header_dimension(self, tmp_path, field, value):
+        params, vocabs = self.make_model(AttentionVariant.SOFT)
+        path = tmp_path / "model.bin"
+        save_model(str(path), params, vocabs)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<I", data, 4 + 4 * field, value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ModelFormatError, match="^bad model file: "):
+            load_model(str(path))
+
+    def test_vocabulary_block_not_utf8(self, tmp_path):
+        params, vocabs = self.make_model(AttentionVariant.SOFT)
+        path = tmp_path / "model.bin"
+        save_model(str(path), params, vocabs)
+        data = bytearray(path.read_bytes())
+        data[32] = 0xFF  # first byte of the vocabulary block
+        path.write_bytes(bytes(data))
+        with pytest.raises(ModelFormatError, match="utf-8"):
+            load_model(str(path))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"

@@ -19,17 +19,19 @@ GRAD_VARIANTS = [AttentionVariant.SOFT, AttentionVariant.NO_ATTENTION,
                  AttentionVariant.ELEMENT_WISE, AttentionVariant.SOFT_NO_FC]
 
 
-def finite_difference(params, example, label_id, name, h=1e-5, mask=None):
+def finite_difference(params, example, label_id, name, h=1e-5, dropout_seed=None):
+    """Central differences of the loss; with `dropout_seed`, every evaluation
+    draws the same train-mode dropout mask from a fresh generator."""
     arr = params.groups()[name]
     fd = np.zeros_like(arr)
     it = np.nditer(arr, flags=["multi_index"])
 
     def run():
-        if mask is None:
+        if dropout_seed is None:
             trace = forward(params, example)
         else:
             trace = forward(params, example, mode="train", dropout_rate=0.25,
-                            dropout_mask=mask)
+                            rng=np.random.default_rng(dropout_seed))
         return loss(trace, label_id)
 
     for _ in it:
@@ -104,14 +106,14 @@ class TestGradients:
         rng = np.random.default_rng(14)
         params = init_params(DIMS, AttentionVariant.SOFT, 5)
         example = random_encoded(rng, DIMS)
-        mask = (rng.random((DIMS.k_max, 3 * DIMS.d)) < 0.75).astype(float)
         trace = forward(params, example, mode="train", dropout_rate=0.25,
-                        dropout_mask=mask)
+                        rng=np.random.default_rng(21))
+        assert (trace.dropout_scale == 0).any()
         grads = dense_gradients(
             params, backward(params, example, trace, example.label_id))
         for name in params.groups():
             fd = finite_difference(params, example, example.label_id, name,
-                                   mask=mask)
+                                   dropout_seed=21)
             assert max_relative_error(grads[name], fd) < 1e-4
 
     def test_shared_source_target_row_accumulates(self):
@@ -141,27 +143,27 @@ class TestGradients:
 
     def test_batch_gradient_is_sum_of_examples(self):
         # One backward over a stacked batch equals the sum of per-example
-        # backwards, for every variant, with and without a recorded mask.
+        # backwards, for every variant, with and without dropout. The batch
+        # draws its (B, k, 3d) mask in one call; the same generator state
+        # gives the examples the same masks in B sequential (k, 3d) draws.
         rng = np.random.default_rng(15)
         for variant in AttentionVariant:
             params = init_params(DIMS, variant, 8)
             examples = [random_encoded(rng, DIMS) for _ in range(5)]
-            masks = (rng.random((5, DIMS.k_max, 3 * DIMS.d)) < 0.75).astype(float)
-            for mask in (None, masks):
-                def run(example, mask):
-                    kwargs = {} if mask is None else dict(
-                        dropout_rate=0.25, dropout_mask=mask)
-                    trace = forward(params, example, mode="train", **kwargs)
+            for dropout in (0.0, 0.25):
+                def run(example, dropout_rng):
+                    trace = forward(params, example, mode="train",
+                                    dropout_rate=dropout, rng=dropout_rng)
                     return dense_gradients(
                         params, backward(params, example, trace, example.label_id))
 
-                batched = run(stack_examples(examples), mask)
-                singles = [run(ex, None if mask is None else mask[i])
-                           for i, ex in enumerate(examples)]
+                batched = run(stack_examples(examples), np.random.default_rng(22))
+                single_rng = np.random.default_rng(22)
+                singles = [run(ex, single_rng) for ex in examples]
                 for name in params.groups():
                     summed = sum(g[name] for g in singles)
                     assert np.abs(batched[name] - summed).max() <= 1e-10, \
-                        f"{variant.value}/{name} mask={mask is not None}"
+                        f"{variant.value}/{name} dropout={dropout}"
 
     def test_batched_forward_matches_per_example(self):
         rng = np.random.default_rng(18)
@@ -327,6 +329,22 @@ class TestDescentAndTraining:
         with pytest.raises(TrainingError,
                            match=r"^non-finite loss at epoch 2, example 0: "):
             train(examples, examples, vocabs, config)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_parameters_past_single_precision_raise(self):
+        # One epoch of one step keeps every loss finite but moves the
+        # parameters by about 1e300, past what a model file can hold.
+        examples = self.toy_dataset()[:10]
+        vocabs = build_vocabs(examples)
+        config = TrainConfig(learning_rate=1e300, dim=8, k_max=20, max_epochs=1)
+        with pytest.raises(TrainingError, match=r"not finite in single precision "
+                                                r"after epoch 1$"):
+            train(examples, examples, vocabs, config)
+
+    def test_non_finite_learning_rate_rejected(self):
+        for rate in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="learning rate"):
+                TrainConfig(learning_rate=rate)
 
     def test_empty_train_set(self):
         with pytest.raises(TrainingError):

@@ -7,6 +7,8 @@ from codevec.model import AttentionVariant, ModelDims, init_params
 from codevec.paths import PathContext, path_from_string
 from codevec.vectors import NameVectorTable, cosine, sum_of_cosines_ranking
 
+from conftest import as_float32, tag_vocabs
+
 
 def random_table(rng, n=12, d=6):
     names = [f"name{i}" for i in range(n)]
@@ -169,6 +171,25 @@ class TestTableConstruction:
         params.tags_vocab[dead] = 0.0
         table = NameVectorTable.from_params(params, vocabs)
         assert table.names == ["getX"]
+
+    def test_from_params_matches_row_loop(self):
+        # Reference: the per-row loop the vectorised filter replaced.
+        vocabs = tag_vocabs(40)
+        dims = ModelDims(5, 3, 3, 40, 3)
+        params = as_float32(init_params(dims, AttentionVariant.SOFT, 2))
+        params.tags_vocab[[UNK_ID, 3, 17, 39]] = 0.0
+        params.tags_vocab[PAD_ID] = 1.0
+        names, rows = [], []
+        for idx in range(len(vocabs.tags)):
+            row = params.tags_vocab[idx]
+            if idx in (PAD_ID, UNK_ID) or np.linalg.norm(row) == 0.0:
+                continue
+            names.append(vocabs.tags.entry(idx))
+            rows.append(row)
+        table = NameVectorTable.from_params(params, vocabs)
+        assert table.names == names and len(names) == 35
+        assert table.vectors.dtype == np.float64
+        assert np.array_equal(table.vectors, np.array(rows, dtype=np.float64))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
