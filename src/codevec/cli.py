@@ -130,8 +130,9 @@ def cmd_predict(args) -> int:
         rng = example_rng(args.seed, 0)  # one draw, shared by top-k and --attention
         example = RawExample(example.label, sample_contexts(example.contexts, k_max, rng))
         encoded = encode_example(example, vocabs, k_max, rng)
+        ranking = predict_topk(params, encoded, args.topk, vocabs)
         print(f"# {example.label}")
-        for tag, prob in predict_topk(params, encoded, args.topk, vocabs):
+        for tag, prob in ranking:
             print(f"{tag} {prob:.6f}")
         if args.attention:
             _print_attention(params, example, encoded)

@@ -27,7 +27,7 @@ class ModelFormatError(CodevecError):
 
 
 class TrainingError(CodevecError):
-    """Numeric failure during training (NaN loss, exploding gradients)."""
+    """Numeric failure: a non-finite loss, parameter or score."""
 
 
 class VectorQueryError(CodevecError):

@@ -13,7 +13,7 @@ from enum import Enum
 import numpy as np
 
 from .corpus import PAD_ID, EncodedExample, Vocabs, format_vocabs, parse_vocabs
-from .errors import ModelFormatError
+from .errors import ModelFormatError, TrainingError
 
 
 class AttentionVariant(Enum):
@@ -141,6 +141,7 @@ def _attention_kind(variant: AttentionVariant, mode: str) -> str:
     return "soft"
 
 
+@np.errstate(all="ignore")  # q (infer) or the loss (train) is checked instead
 def forward(params: ModelParams, example: EncodedExample, mode: str = "infer",
             dropout_rate: float = 0.0, rng: np.random.Generator | None = None,
             ) -> ForwardTrace:
@@ -150,6 +151,7 @@ def forward(params: ModelParams, example: EncodedExample, mode: str = "infer",
 
     In train mode, inverted dropout with the given rate, drawn from `rng`,
     is applied to the context vectors (kept entries scaled by 1/keep).
+    In infer mode a non-finite q raises TrainingError.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -201,6 +203,8 @@ def forward(params: ModelParams, example: EncodedExample, mode: str = "infer",
     logits = code_vector @ params.tags_vocab.T
     # PAD is never a real label: q[PAD] == 0.
     q = _masked_softmax(logits, np.arange(logits.shape[-1]) != PAD_ID, axis=-1)
+    if mode == "infer" and not np.isfinite(q).all():
+        raise TrainingError("non-finite scores")
 
     return ForwardTrace(contexts, scale, combined, alpha, code_vector, q, mask, kind)
 
@@ -230,8 +234,17 @@ def predict_topk(params: ModelParams, example: EncodedExample, k: int,
 MAGIC = b"C2V1"
 
 
+def check_single_precision(params: ModelParams, suffix: str = "") -> None:
+    """TrainingError, ending in `suffix`, unless every value fits a model file."""
+    limit = np.finfo(np.float32).max
+    for name, arr in params.groups().items():
+        if not -limit <= arr.min() <= arr.max() <= limit:
+            raise TrainingError(f"{name} is not finite in single precision{suffix}")
+
+
 def save_model(path: str, params: ModelParams, vocabs: Vocabs) -> None:
     """Write the model in single precision together with its vocabularies."""
+    check_single_precision(params)
     dims = params.dims
     vocab_blob = format_vocabs(vocabs).encode("utf-8")
     with open(path, "wb") as handle:

@@ -58,46 +58,51 @@ def extract_path_contexts(ast: Ast, limits: ExtractionLimits) -> list[PathContex
     whose connecting path passes the length and pivot-width limits.
 
     Width is the child-index difference at the pivot between the two
-    branches the path occupies.
+    branches the path occupies. From each terminal the walk climbs at most
+    max_length - 1 ancestors and, at each, descends only into the next
+    max_width branches to the right, no deeper than the steps left. Right
+    terminals under a nearer pivot come first in DFS order, so the output
+    is in pair order.
     """
+    nodes, parent, child_index = ast.nodes, ast.parent, ast.child_index
     terminals = ast.terminals()
-    values = {n: normalize_value(ast.nodes[n].kind, ast.nodes[n].value)
-              for n in terminals}
-    out: list[PathContext] = []
-    for i, left in enumerate(terminals):
-        for right in terminals[i + 1:]:
-            ctx = _pair_context(ast, left, right, values, limits)
-            if ctx is not None:
-                out.append(ctx)
+    values = {n: normalize_value(nodes[n].kind, nodes[n].value) for n in terminals}
+    below = {}  # (branch, budget) -> _descend's list, shared by many left terminals
+    shared = {}  # (kinds up, kinds down) -> their one AstPath
+    out = []
+    for left in terminals:
+        ups, branch = (nodes[left].kind,), left
+        for steps_up in range(1, min(limits.max_length, ast.depth[left] + 1)):
+            pivot = parent[branch]
+            ups += (nodes[pivot].kind,)
+            budget = limits.max_length - steps_up
+            first = child_index[branch] + 1
+            for right in nodes[pivot].children[first:first + limits.max_width]:
+                if (right, budget) not in below:
+                    below[right, budget] = _descend(nodes, values, right, budget)
+                for downs, value in below[right, budget]:
+                    path = shared.get((ups, downs))
+                    if path is None:
+                        path = shared[ups, downs] = AstPath(
+                            ups + downs, (UP,) * steps_up + (DOWN,) * len(downs))
+                    out.append(PathContext(values[left], path, value))
+            branch = pivot
     return out
 
 
-def _pair_context(ast, left, right, values, limits):
-    # Climb both ends to the pivot, keeping the nodes passed on each side;
-    # the last of each is the pivot's child on that branch. Terminals are
-    # leaves, so neither side is empty.
-    parent, depth = ast.parent, ast.depth
-    a, b = left, right
-    ups: list[int] = []
-    downs: list[int] = []
-    while depth[a] > depth[b]:
-        ups.append(a)
-        a = parent[a]
-    while depth[b] > depth[a]:
-        downs.append(b)
-        b = parent[b]
-    while a != b:
-        ups.append(a)
-        downs.append(b)
-        a = parent[a]
-        b = parent[b]
-    if len(ups) + len(downs) > limits.max_length:
-        return None
-    if abs(ast.child_index[ups[-1]] - ast.child_index[downs[-1]]) > limits.max_width:
-        return None
-    kinds = tuple(ast.nodes[n].kind for n in ups + [a] + downs[::-1])
-    path = AstPath(kinds, (UP,) * len(ups) + (DOWN,) * len(downs))
-    return PathContext(values[left], path, values[right])
+def _descend(nodes, values, branch: int, budget: int) -> list:
+    """(kinds from `branch` down, value) of each terminal at most `budget`
+    nodes deep in `branch`, in DFS order."""
+    found = []
+    stack = [(branch, (nodes[branch].kind,))]
+    while stack:
+        node_id, kinds = stack.pop()
+        if nodes[node_id].is_terminal:
+            found.append((kinds, values[node_id]))
+        elif len(kinds) < budget:
+            stack.extend((c, kinds + (nodes[c].kind,))
+                         for c in reversed(nodes[node_id].children))
+    return found
 
 
 _PATH_SPLIT_RE = re.compile(r"([\^_])")

@@ -13,7 +13,7 @@ from .corpus import (ABLATIONS, PAD_ID, AblationMask, RawExample, Vocabs,
 from .errors import TrainingError
 from .metrics import evaluate_encoded
 from .model import (AttentionVariant, ForwardTrace, ModelDims, ModelParams,
-                    forward, init_params)
+                    check_single_precision, forward, init_params)
 
 # Parameter groups whose gradients are row-sparse: an example touches at
 # most 3 * k_max of their rows.
@@ -268,10 +268,5 @@ def train(train_set: list[RawExample], val_set: list[RawExample], vocabs: Vocabs
             best_epoch = epoch
         elif epoch - best_epoch >= config.patience:
             break
-    # The model file holds single precision: every value must be finite there.
-    limit = np.finfo(np.float32).max
-    for name, arr in best_params.groups().items():
-        if not -limit <= arr.min() <= arr.max() <= limit:
-            raise TrainingError(f"{name} is not finite in single precision "
-                                f"after epoch {best_epoch}")
+    check_single_precision(best_params, f" after epoch {best_epoch}")
     return best_params, history

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 from collections import Counter
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ import numpy as np
 
 from codevec.ast_tree import Ast, AstBuilder, normalize_value
 from codevec.corpus import EncodedExample, PAD_ID, Vocab, Vocabs
-from codevec.model import ModelDims
+from codevec.model import ModelDims, save_model
 from codevec.paths import AstPath, DOWN, UP, ExtractionLimits
 
 TERMINAL_KINDS = ["NameExpr", "IntegerLiteralExpr", "BooleanExpr", "Name", "Type"]
@@ -18,8 +19,10 @@ NONTERMINAL_KINDS = ["Block", "IfStmt", "Call", "BinaryExpr", "Return",
 VALUES = ["x", "y", "foo", "bar7", "a_b", "total", "true", "0", "items"]
 
 
-def random_ast(rng: np.random.Generator, max_terminals: int = 12) -> Ast:
-    """Random valid tree; may degenerate to a single terminal."""
+def random_ast(rng: np.random.Generator, max_terminals: int = 12,
+               max_children: int = 4, max_depth: int = 6) -> Ast:
+    """Random valid tree; may degenerate to a single terminal. Inner nodes
+    have 1..max_children children; nothing lies below depth max_depth."""
     builder = AstBuilder()
     budget = int(rng.integers(1, max_terminals + 1))
 
@@ -28,10 +31,10 @@ def random_ast(rng: np.random.Generator, max_terminals: int = 12) -> Ast:
             if depth >= 2 or rng.random() < 0.5:
                 return (builder.terminal(str(rng.choice(TERMINAL_KINDS)),
                                          str(rng.choice(VALUES))), 1)
-        if depth >= 6:
+        if depth >= max_depth:
             return (builder.terminal(str(rng.choice(TERMINAL_KINDS)),
                                      str(rng.choice(VALUES))), 1)
-        n_children = int(rng.integers(1, 5))
+        n_children = int(rng.integers(1, max_children + 1))
         used = 0
         children = []
         for _ in range(n_children):
@@ -188,6 +191,22 @@ def as_float32(params):
                               for name, arr in params.groups().items()})
 
 
+def save_model_with(path, params, vocabs, name: str, index: tuple, value: float) -> None:
+    """`save_model`, then the stored float32 at `index` of group `name`
+    overwritten with `value`: how a test writes a file `save_model` refuses."""
+    save_model(str(path), params, vocabs)
+    with open(path, "r+b") as handle:
+        (blob_len,) = struct.unpack_from("<I", handle.read(32), 28)
+        offset = 32 + blob_len
+        for group, arr in params.groups().items():
+            if group == name:
+                offset += 4 * int(np.ravel_multi_index(index, arr.shape))
+                break
+            offset += 4 * arr.size
+        handle.seek(offset)
+        handle.write(np.array(value, dtype="<f4").tobytes())
+
+
 def dense_gradients(params, grads) -> dict:
     """Every group's gradient as a full array: the row-sparse embedding
     gradients scattered into zeros."""
@@ -232,6 +251,44 @@ def toy_minij_corpus(variants_per_label: int = 5) -> list[str]:
         for i in range(variants_per_label):
             sources.append(template.format(v=f"arg{label.lower()}{i}"))
     return sources
+
+
+def long_minij_method(rng: np.random.Generator, statements: int) -> str:
+    """One MiniJ method `f` of `statements` random statements, nested blocks
+    counted, over a few names: the wide, deep trees of real long methods."""
+    names = ["a", "b", "n", "total", "items", "node"]
+
+    def pick(options):
+        return options[int(rng.integers(len(options)))]
+
+    def expr(depth=0):
+        roll = rng.random()
+        if depth >= 2 or roll < 0.3:
+            return pick([pick(names), str(int(rng.integers(10))),
+                         f"{pick(names)}.size", f"{pick(names)}[{pick(names)}]"])
+        if roll < 0.7:
+            op = pick(["+", "*", "<", "==", "&&"])
+            return f"{expr(depth + 1)} {op} {expr(depth + 1)}"
+        args = ", ".join(expr(depth + 1) for _ in range(int(rng.integers(1, 4))))
+        return f"{pick(['g', 'h'])}({args})"
+
+    def block(budget, nesting):
+        parts = []
+        while budget > 0:
+            roll = rng.random()
+            if budget >= 3 and nesting < 3 and roll < 0.25:
+                inner = int(rng.integers(1, min(budget - 1, 6) + 1))
+                head = pick([f"if ({expr()})", f"while ({expr()})",
+                             f"for (int {pick(names)} : {pick(names)})"])
+                parts.append(f"{head} {{ {block(inner, nesting + 1)} }}")
+                budget -= inner + 1
+            else:
+                parts.append(pick([f"int {pick(names)} = {expr()};",
+                                   f"{pick(names)} = {expr()};", f"g({expr()});"]))
+                budget -= 1
+        return " ".join(parts)
+
+    return f"int f(int a, List items) {{ {block(statements - 1, 0)} return {expr()}; }}"
 
 
 # One MiniJ method per construct that counts toward the parser's nesting

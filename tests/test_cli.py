@@ -15,7 +15,7 @@ from codevec.model import MAX_SLOTS, AttentionVariant, load_model, save_model
 from codevec.paths import ExtractionLimits, path_to_string
 from codevec.pipeline import method_to_example
 
-from conftest import NESTING_SHAPES, deep_method, toy_minij_corpus
+from conftest import NESTING_SHAPES, deep_method, save_model_with, toy_minij_corpus
 
 GOOD_TREE = '(MethodDecl (Type "int") (Name "getX") (Block (Return (NameExpr "x"))))'
 
@@ -296,9 +296,8 @@ class TestTrainPredictEval:
     def test_non_finite_model_is_data_error(self, model_file, corpus_file,
                                             tmp_path, capsys):
         params, vocabs = load_model(str(model_file))
-        params.W[0, 0] = np.inf
         bad = tmp_path / "inf.bin"
-        save_model(str(bad), params, vocabs)
+        save_model_with(bad, params, vocabs, "W", (0, 0), np.inf)
         assert main(["predict", "--model", str(bad), str(corpus_file)]) == 2
         err = capsys.readouterr().err
         assert "non-finite" in err and "Traceback" not in err
@@ -325,6 +324,35 @@ class TestTrainPredictEval:
         err = capsys.readouterr().err
         assert "numeric failure: " in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_checkpoint_past_single_precision_is_not_written(self, dataset_file,
+                                                             tmp_path, capsys):
+        out = tmp_path / "m.bin"
+        assert main(["train", "--train", str(dataset_file), "-o", str(out),
+                     "--dim", "8", "--kmax", "20", "--lr", "1e300",
+                     "--epochs", "1", "--batch", "64", "--checkpoints"]) == 3
+        err = capsys.readouterr().err
+        assert "not finite in single precision" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_non_finite_scores_are_numeric_failure(self, command, model_file,
+                                                   corpus_file, dataset_file,
+                                                   tmp_path, capsys):
+        # Finite float32 weights whose products overflow: q is all NaN.
+        # Warnings are errors under pytest, so a warning would fail the call.
+        params, vocabs = load_model(str(model_file))
+        params.W[:] = 3e38
+        params.tags_vocab[:] = 3e38
+        huge = tmp_path / "huge.bin"
+        save_model(str(huge), params, vocabs)
+        data = corpus_file if command == "predict" else dataset_file
+        assert main([command, "--model", str(huge), str(data)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("codevec: numeric failure: non-finite scores")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("variant", [v.value for v in AttentionVariant])
     def test_all_variants_train_and_reload(self, variant, dataset_file,

@@ -6,13 +6,13 @@ import pytest
 
 from codevec.corpus import (PAD_ID, EncodedExample, RawExample,
                             build_vocabs, encode_example, example_rng)
-from codevec.errors import ModelFormatError
+from codevec.errors import ModelFormatError, TrainingError
 from codevec.model import (MAX_SLOTS, AttentionVariant, ModelDims, ModelParams,
                            forward, init_params, load_model, predict_topk,
                            save_model)
 from codevec.paths import PathContext, path_from_string
 
-from conftest import as_float32, random_encoded, tag_vocabs
+from conftest import as_float32, random_encoded, save_model_with, tag_vocabs
 
 DIMS = ModelDims(d=4, num_values=6, num_paths=5, num_tags=4, k_max=5)
 
@@ -298,11 +298,16 @@ class TestSerialization:
 
     def test_non_finite_matrix_rejected(self, tmp_path):
         params, vocabs = self.make_model(AttentionVariant.SOFT)
-        params.W[1, 2] = np.nan
-        path = str(tmp_path / "model.bin")
-        save_model(path, params, vocabs)
+        path = tmp_path / "model.bin"
+        save_model_with(path, params, vocabs, "W", (1, 2), np.nan)
         with pytest.raises(ModelFormatError, match="non-finite values in W"):
-            load_model(path)
+            load_model(str(path))
+        # save_model itself refuses such a value and leaves no file
+        params.W[1, 2] = np.nan
+        refused = tmp_path / "refused.bin"
+        with pytest.raises(TrainingError, match="^W is not finite in single precision$"):
+            save_model(str(refused), params, vocabs)
+        assert not refused.exists()
 
     # Header u32 fields 0-5 after the magic: variant, d, |X|, |P|, |Y|, k_max.
     @pytest.mark.parametrize("field,value", [

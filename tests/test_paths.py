@@ -12,7 +12,7 @@ from codevec.paths import (DOWN, UP, AstPath, ExtractionLimits, PathContext,
                            path_to_string)
 from codevec.pipeline import method_to_example
 
-from conftest import (NONTERMINAL_KINDS, TERMINAL_KINDS,
+from conftest import (NONTERMINAL_KINDS, TERMINAL_KINDS, long_minij_method,
                       oracle_path_context_list, oracle_path_contexts,
                       random_ast, random_path)
 
@@ -141,6 +141,77 @@ class TestExtraction:
             assert as_triples(example.contexts) == expected
             total += len(expected)
         assert total > 1000
+
+
+class TestPrunedWalk:
+    """Trees large enough to hold the pairs the walk never visits: sibling
+    branches past max_width and terminals past max_length. The output must
+    still be the brute-force list, in order."""
+
+    @staticmethod
+    def assert_matches_oracle(ast, limits, excluded=None):
+        expected = oracle_path_context_list(ast, limits, excluded=excluded)
+        if excluded is None:
+            got = extract_path_contexts(ast, limits)
+        else:
+            got = method_to_example(ast, limits).contexts
+        assert as_triples(got) == expected
+        return expected
+
+    def test_wide_trees(self):
+        rng = np.random.default_rng(41)
+        too_wide = 0
+        for _ in range(60):
+            ast = random_ast(rng, max_terminals=40, max_children=12)
+            limits = ExtractionLimits(int(rng.integers(2, 9)), int(rng.integers(0, 4)))
+            self.assert_matches_oracle(ast, limits)
+            too_wide += max(len(n.children) for n in ast.nodes) > limits.max_width + 1
+        assert too_wide >= 40
+
+    def test_trees_deeper_than_max_length(self):
+        rng = np.random.default_rng(43)
+        too_deep = 0
+        for _ in range(60):
+            ast = random_ast(rng, max_terminals=30, max_children=3, max_depth=14)
+            limits = ExtractionLimits(int(rng.integers(2, 7)), int(rng.integers(1, 3)))
+            self.assert_matches_oracle(ast, limits)
+            too_deep += max(ast.depth) > limits.max_length
+        assert too_deep >= 40
+
+    def test_branch_in_width_but_deeper_than_the_steps_left(self):
+        # From x the IfStmt branch is in width, but with 2 steps left below
+        # the root Block only c is in reach: `deep` is 4 steps down.
+        (ast,) = read_sexpr_asts(
+            '(Block (NameExpr "x") (IfStmt (BooleanExpr "c") '
+            '(Block (Return (NameExpr "deep")))) (NameExpr "y"))')
+        assert self.assert_matches_oracle(ast, ExtractionLimits(3, 2)) == [
+            ("x", "NameExpr^Block_IfStmt_BooleanExpr", "c"),
+            ("x", "NameExpr^Block_NameExpr", "y"),
+            ("c", "BooleanExpr^IfStmt^Block_NameExpr", "y")]
+
+    @pytest.mark.parametrize("statements", [20, 40, 60])
+    def test_long_minij_methods(self, statements):
+        rng = np.random.default_rng(statements)
+        for limits in (ExtractionLimits(), ExtractionLimits(int(rng.integers(2, 9)),
+                                                            int(rng.integers(0, 4)))):
+            (ast,) = parse_methods(long_minij_method(rng, statements))
+            name = next(c for c in ast.node(ast.root).children
+                        if ast.node(c).kind == "Name")
+            assert self.assert_matches_oracle(ast, limits, excluded=name)
+
+    def test_edge_limits(self):
+        rng = np.random.default_rng(47)
+        trees = [random_ast(rng, max_terminals=30, max_children=8, max_depth=10)
+                 for _ in range(20)]
+        trees += parse_methods(long_minij_method(rng, 15))
+        for ast in trees:
+            assert extract_path_contexts(ast, ExtractionLimits(8, 0)) == []
+            assert extract_path_contexts(ast, ExtractionLimits(1, 5)) == []
+            # Limits wider than the tree keep every pair.
+            everything = ExtractionLimits(2 * max(ast.depth),
+                                          max(len(n.children) for n in ast.nodes))
+            pairs = len(ast.terminals()) * (len(ast.terminals()) - 1) // 2
+            assert len(self.assert_matches_oracle(ast, everything)) == pairs
 
 
 class TestPathStrings:
