@@ -112,9 +112,11 @@ def _shapes(dims: ModelDims, variant: AttentionVariant) -> dict[str, tuple[int, 
 
 
 def init_params(dims: ModelDims, variant: AttentionVariant, seed: int) -> ModelParams:
-    """Glorot-uniform initialization, deterministic per seed; PAD rows zero."""
+    """Glorot-uniform initialization, deterministic per seed; PAD rows zero.
+    Single precision, as the model file stores it: training, inference
+    and `save_model` all see the same values."""
     rng = np.random.default_rng(seed)
-    groups = {name: _glorot(rng, shape)
+    groups = {name: _glorot(rng, shape).astype(np.float32)
               for name, shape in _shapes(dims, variant).items()}
     for name in ("value_vocab", "path_vocab", "tags_vocab"):
         groups[name][PAD_ID] = 0.0

@@ -201,6 +201,7 @@ class EpochStats:
                 f"val_f1={self.val_f1:.4f}")
 
 
+@np.errstate(all="ignore")  # each loss, and each epoch's parameters, are checked instead
 def train(train_set: list[RawExample], val_set: list[RawExample], vocabs: Vocabs,
           config: TrainConfig, log=None, checkpoint=None,
           ) -> tuple[ModelParams, list[EpochStats]]:
@@ -250,10 +251,11 @@ def train(train_set: list[RawExample], val_set: list[RawExample], vocabs: Vocabs
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, example {batch[j]}: "
                     f"loss={losses[j]}, q_max={trace.q[j].max():.3e}")
-            epoch_loss += float(losses.sum())
+            epoch_loss += float(losses.sum(dtype=np.float64))
             adam_step(params, backward(params, stacked, trace, stacked.label_id),
                       state, config)
 
+        check_single_precision(params, f" after epoch {epoch}")
         metrics = evaluate_encoded(params, val_encoded, val_labels, vocabs)
         stats = EpochStats(epoch, epoch_loss / max(len(order), 1),
                            metrics.precision, metrics.recall, metrics.f1)
@@ -268,5 +270,4 @@ def train(train_set: list[RawExample], val_set: list[RawExample], vocabs: Vocabs
             best_epoch = epoch
         elif epoch - best_epoch >= config.patience:
             break
-    check_single_precision(best_params, f" after epoch {best_epoch}")
     return best_params, history

@@ -185,9 +185,10 @@ def tag_vocabs(num_tags: int) -> Vocabs:
                   Vocab([(f"tag{i}", 1) for i in range(2, num_tags)]))
 
 
-def as_float32(params):
-    """The parameters in single precision, as `save_model` stores them."""
-    return replace(params, **{name: arr.astype(np.float32)
+def as_float64(params):
+    """The parameters in double precision: float64 oracles such as finite
+    differences keep their tight tolerances on them."""
+    return replace(params, **{name: arr.astype(np.float64)
                               for name, arr in params.groups().items()})
 
 

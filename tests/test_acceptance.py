@@ -26,7 +26,7 @@ from codevec.paths import (ExtractionLimits, PathContext,
 from codevec.training import TrainConfig, train
 from codevec.vectors import NameVectorTable, sum_of_cosines_ranking
 
-from conftest import (as_float32, dense_gradients, oracle_path_contexts,
+from conftest import (as_float64, dense_gradients, oracle_path_contexts,
                       random_ast, random_encoded, toy_minij_corpus)
 from test_training import finite_difference, max_relative_error
 
@@ -87,7 +87,7 @@ def test_forward_contracts():
     variants = TANH_VARIANTS + [AttentionVariant.SOFT_NO_FC]
     for trial in range(200):
         variant = variants[trial % len(variants)]
-        params = init_params(dims, variant, trial)
+        params = as_float64(init_params(dims, variant, trial))
         n_valid = int(rng.integers(1, dims.k_max + 1))
         example = random_encoded(rng, dims, n_valid=n_valid)
         trace = forward(params, example)
@@ -136,7 +136,7 @@ def test_gradient_check():
     worst = 0.0
     for variant in variants:
         for trial in range(10):
-            params = init_params(dims, variant, 300 + trial)
+            params = as_float64(init_params(dims, variant, 300 + trial))
             example = random_encoded(rng, dims)
             trace = forward(params, example)
             grads = dense_gradients(
@@ -173,12 +173,12 @@ def test_variant_algebra():
     for trial in range(50):
         example = random_encoded(rng, dims, n_valid=int(rng.integers(2, 6)))
 
-        hard = init_params(dims, AttentionVariant.HARD, trial)
+        hard = as_float64(init_params(dims, AttentionVariant.HARD, trial))
         trace = forward(hard, example)
         chosen = int(np.argmax(trace.alpha))
         assert np.array_equal(trace.code_vector, trace.combined[chosen])
 
-        uniform = init_params(dims, AttentionVariant.NO_ATTENTION, trial)
+        uniform = as_float64(init_params(dims, AttentionVariant.NO_ATTENTION, trial))
         trace = forward(uniform, example)
         valid = trace.mask.astype(bool)
         mean = trace.combined[valid].mean(axis=0)
@@ -188,10 +188,10 @@ def test_variant_algebra():
     # (attention matrices differ per variant but are irrelevant for one slot)
     for trial in range(20):
         single = random_encoded(rng, dims, n_valid=1)
-        reference_params = init_params(dims, TANH_VARIANTS[0], 900 + trial)
+        reference_params = as_float64(init_params(dims, TANH_VARIANTS[0], 900 + trial))
         traces = []
         for variant in TANH_VARIANTS:
-            params = init_params(dims, variant, 900 + trial)
+            params = as_float64(init_params(dims, variant, 900 + trial))
             for name, arr in params.groups().items():
                 if name != "attention":
                     arr[:] = reference_params.groups()[name]
@@ -199,7 +199,7 @@ def test_variant_algebra():
         reference = traces[0]
         for trace in traces[1:]:
             assert np.abs(trace.q - reference.q).max() <= 1e-12
-        nofc = init_params(dims, AttentionVariant.SOFT_NO_FC, trial)
+        nofc = as_float64(init_params(dims, AttentionVariant.SOFT_NO_FC, trial))
         trace = forward(nofc, single)
         assert trace.alpha[0] == pytest.approx(1.0, abs=1e-12)
         assert np.abs(trace.code_vector - trace.combined[0]).max() <= 1e-12
@@ -275,11 +275,10 @@ def test_serialization(tmp_path):
         path = tmp_path / f"{variant.value}.bin"
         save_model(str(path), params, vocabs)
         loaded_params, loaded_vocabs = load_model(str(path))
-        in_memory = as_float32(params)
         assert format_vocabs(loaded_vocabs) == format_vocabs(vocabs)
         for _ in range(100 if variant is AttentionVariant.SOFT else 5):
             example = random_encoded(rng, dims)
-            expected = predict_topk(in_memory, example, 3, vocabs)
+            expected = predict_topk(params, example, 3, vocabs)
             got = predict_topk(loaded_params, example, 3, loaded_vocabs)
             assert got == expected  # bit-identical probabilities
 

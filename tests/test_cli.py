@@ -302,7 +302,6 @@ class TestTrainPredictEval:
         err = capsys.readouterr().err
         assert "non-finite" in err and "Traceback" not in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_is_numeric_failure(self, dataset_file, tmp_path,
                                                 capsys):
         out = tmp_path / "m.bin"
@@ -312,7 +311,6 @@ class TestTrainPredictEval:
         assert "non-finite loss at epoch" in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_model_past_single_precision_is_numeric_failure(self, dataset_file,
                                                             tmp_path, capsys):
         # The one step's loss is finite; the parameters it leaves are not,
@@ -325,7 +323,6 @@ class TestTrainPredictEval:
         assert "numeric failure: " in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_checkpoint_past_single_precision_is_not_written(self, dataset_file,
                                                              tmp_path, capsys):
         out = tmp_path / "m.bin"

@@ -12,7 +12,7 @@ from codevec.model import (MAX_SLOTS, AttentionVariant, ModelDims, ModelParams,
                            save_model)
 from codevec.paths import PathContext, path_from_string
 
-from conftest import as_float32, random_encoded, save_model_with, tag_vocabs
+from conftest import as_float64, random_encoded, save_model_with, tag_vocabs
 
 DIMS = ModelDims(d=4, num_values=6, num_paths=5, num_tags=4, k_max=5)
 
@@ -111,7 +111,7 @@ class TestForward:
     def test_contract_sums(self):
         rng = np.random.default_rng(1)
         for variant in AttentionVariant:
-            params = init_params(DIMS, variant, 5)
+            params = as_float64(init_params(DIMS, variant, 5))
             for _ in range(30):
                 example = random_encoded(rng, DIMS)
                 trace = forward(params, example)
@@ -209,7 +209,7 @@ class TestForward:
 class TestPredict:
     def test_full_distribution_sums_to_one(self):
         rng = np.random.default_rng(8)
-        params = init_params(DIMS, AttentionVariant.SOFT, 4)
+        params = as_float64(init_params(DIMS, AttentionVariant.SOFT, 4))
         example = random_encoded(rng, DIMS)
         ranked = predict_topk(params, example, DIMS.num_tags, tag_vocabs(DIMS.num_tags))
         assert sum(p for _, p in ranked) == pytest.approx(1.0, abs=1e-9)
@@ -269,7 +269,7 @@ class TestSerialization:
         vocabs = tiny_vocabs()
         dims = ModelDims(4, len(vocabs.values), len(vocabs.paths),
                          len(vocabs.tags), 5)
-        params = as_float32(init_params(dims, variant, seed))
+        params = init_params(dims, variant, seed)
         return params, vocabs
 
     @pytest.mark.parametrize("variant", list(AttentionVariant))

@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
-from codevec.corpus import (PAD_ID, EncodedExample, RawExample,
+from codevec.corpus import (ABLATIONS, PAD_ID, EncodedExample, RawExample,
                             build_vocabs, stack_examples)
 from codevec.errors import TrainingError
 from codevec.metrics import evaluate
 from codevec.minij import parse_methods
-from codevec.model import (AttentionVariant, ModelDims, forward, init_params)
+from codevec.model import (AttentionVariant, ModelDims, forward, init_params,
+                           load_model, save_model)
 from codevec.paths import ExtractionLimits
 from codevec.pipeline import method_to_example
 from codevec.training import (ADAM_EPSILON, AdamState, Gradients,
                               TrainConfig, adam_step, backward, loss, train)
 
-from conftest import dense_gradients, random_encoded, toy_minij_corpus
+from conftest import as_float64, dense_gradients, random_encoded, toy_minij_corpus
 
 DIMS = ModelDims(d=3, num_values=6, num_paths=5, num_tags=4, k_max=4)
 GRAD_VARIANTS = [AttentionVariant.SOFT, AttentionVariant.NO_ATTENTION,
@@ -80,7 +81,7 @@ class TestGradients:
     def test_finite_differences(self, variant):
         rng = np.random.default_rng(12)
         for trial in range(10):
-            params = init_params(DIMS, variant, 100 + trial)
+            params = as_float64(init_params(DIMS, variant, 100 + trial))
             example = random_encoded(rng, DIMS)
             trace = forward(params, example)
             grads = dense_gradients(
@@ -94,7 +95,7 @@ class TestGradients:
         # At non-tie points, the FD gradient of the selected branch matches;
         # no gradient flows into the attention vector by construction.
         rng = np.random.default_rng(13)
-        params = init_params(DIMS, AttentionVariant.HARD, 3)
+        params = as_float64(init_params(DIMS, AttentionVariant.HARD, 3))
         example = random_encoded(rng, DIMS, n_valid=3)
         trace = forward(params, example)
         grads = backward(params, example, trace, example.label_id)
@@ -104,7 +105,7 @@ class TestGradients:
 
     def test_with_recorded_dropout_mask(self):
         rng = np.random.default_rng(14)
-        params = init_params(DIMS, AttentionVariant.SOFT, 5)
+        params = as_float64(init_params(DIMS, AttentionVariant.SOFT, 5))
         example = random_encoded(rng, DIMS)
         trace = forward(params, example, mode="train", dropout_rate=0.25,
                         rng=np.random.default_rng(21))
@@ -117,7 +118,7 @@ class TestGradients:
             assert max_relative_error(grads[name], fd) < 1e-4
 
     def test_shared_source_target_row_accumulates(self):
-        params = init_params(DIMS, AttentionVariant.SOFT, 6)
+        params = as_float64(init_params(DIMS, AttentionVariant.SOFT, 6))
         example = EncodedExample(2, np.array([3, 0]), np.array([2, 0]),
                                  np.array([3, 0]), np.array([1.0, 0.0]))
         trace = forward(params, example)
@@ -148,7 +149,7 @@ class TestGradients:
         # gives the examples the same masks in B sequential (k, 3d) draws.
         rng = np.random.default_rng(15)
         for variant in AttentionVariant:
-            params = init_params(DIMS, variant, 8)
+            params = as_float64(init_params(DIMS, variant, 8))
             examples = [random_encoded(rng, DIMS) for _ in range(5)]
             for dropout in (0.0, 0.25):
                 def run(example, dropout_rng):
@@ -168,7 +169,7 @@ class TestGradients:
     def test_batched_forward_matches_per_example(self):
         rng = np.random.default_rng(18)
         for variant in AttentionVariant:
-            params = init_params(DIMS, variant, 10)
+            params = as_float64(init_params(DIMS, variant, 10))
             examples = [random_encoded(rng, DIMS) for _ in range(6)]
             stacked = stack_examples(examples)
             for mode in ("train", "infer"):
@@ -319,18 +320,18 @@ class TestDescentAndTraining:
         # patience=1 stops at the first non-improving epoch
         assert all(b > a for a, b in zip(f1s[:-2], f1s[1:-1]))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_names_epoch_and_example(self):
-        # The first step overflows the parameters; the first bad example,
-        # in batch order, of the next epoch is named by its dataset index.
+        # The first epoch leaves the parameters finite in single precision
+        # but so large that the next epoch's scores overflow; the first bad
+        # example, in batch order, is named by its dataset index. (A rate of
+        # 1e300 is not a float32: its first step leaves them infinite.)
         examples = self.toy_dataset()[:10]
         vocabs = build_vocabs(examples)
-        config = TrainConfig(learning_rate=1e300, dim=8, k_max=20)
+        config = TrainConfig(learning_rate=1e30, dim=8, k_max=20)
         with pytest.raises(TrainingError,
                            match=r"^non-finite loss at epoch 2, example 0: "):
             train(examples, examples, vocabs, config)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_parameters_past_single_precision_raise(self):
         # One epoch of one step keeps every loss finite but moves the
         # parameters by about 1e300, past what a model file can hold.
@@ -340,6 +341,51 @@ class TestDescentAndTraining:
         with pytest.raises(TrainingError, match=r"not finite in single precision "
                                                 r"after epoch 1$"):
             train(examples, examples, vocabs, config)
+
+    def test_training_step_stays_single_precision(self):
+        # A float64 mask or a NumPy scalar anywhere in the step would
+        # upcast an array and double the step's memory traffic.
+        rng = np.random.default_rng(19)
+        for variant in AttentionVariant:
+            params = init_params(DIMS, variant, 12)
+            batch = stack_examples([random_encoded(rng, DIMS) for _ in range(3)])
+            trace = forward(params, batch, mode="train", dropout_rate=0.25, rng=rng)
+            grads = backward(params, batch, trace, batch.label_id)
+            state = AdamState.zeros_like(params)
+            adam_step(params, grads, state, TrainConfig())
+            arrays = {f"trace.{name}": getattr(trace, name)
+                      for name in ("context_vectors", "dropout_scale", "combined",
+                                   "alpha", "code_vector", "q", "mask")}
+            arrays["loss"] = loss(trace, batch.label_id)
+            arrays.update((f"grad.{n}", g) for n, g in grads.by_name.items())
+            arrays.update((f"grad.{n}", g) for n, (_, g) in grads.rows.items())
+            for prefix, group in (("param", params.groups()), ("m", state.m),
+                                  ("v", state.v)):
+                arrays.update((f"{prefix}.{n}", a) for n, a in group.items())
+            for name, arr in arrays.items():
+                assert arr.dtype == np.float32, f"{variant.value}: {name}"
+
+    def test_saved_model_is_the_validated_model(self, tmp_path):
+        # Training, validation and the model file share one precision,
+        # float32: the file holds the returned parameters exactly, and
+        # evaluating it reproduces the best epoch's validation F1 exactly.
+        examples = self.toy_dataset()
+        train_set, val_set = examples[::2], examples[1::2]
+        vocabs = build_vocabs(train_set)
+        config = TrainConfig(learning_rate=1e-2, dim=8, k_max=20, max_epochs=10,
+                             patience=10, seed=4, ablation=ABLATIONS["value-path"])
+        params, history = train(train_set, val_set, vocabs, config)
+        best_f1 = max(h.val_f1 for h in history)
+        assert best_f1 > 0.0 and best_f1 > history[-1].val_f1  # best is not last
+        path = str(tmp_path / "model.bin")
+        save_model(path, params, vocabs)
+        loaded, loaded_vocabs = load_model(path)
+        for name, arr in params.groups().items():
+            assert arr.dtype == np.float32, name
+            assert np.array_equal(loaded.groups()[name], arr), name
+        metrics = evaluate(loaded, val_set, loaded_vocabs, seed=config.seed,
+                           ablation=config.ablation)
+        assert metrics.f1 == best_f1
 
     def test_non_finite_learning_rate_rejected(self):
         for rate in (float("nan"), float("inf")):

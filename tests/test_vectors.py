@@ -7,7 +7,7 @@ from codevec.model import AttentionVariant, ModelDims, init_params
 from codevec.paths import PathContext, path_from_string
 from codevec.vectors import NameVectorTable, cosine, sum_of_cosines_ranking
 
-from conftest import as_float32, tag_vocabs
+from conftest import tag_vocabs
 
 
 def random_table(rng, n=12, d=6):
@@ -176,7 +176,7 @@ class TestTableConstruction:
         # Reference: the per-row loop the vectorised filter replaced.
         vocabs = tag_vocabs(40)
         dims = ModelDims(5, 3, 3, 40, 3)
-        params = as_float32(init_params(dims, AttentionVariant.SOFT, 2))
+        params = init_params(dims, AttentionVariant.SOFT, 2)
         params.tags_vocab[[UNK_ID, 3, 17, 39]] = 0.0
         params.tags_vocab[PAD_ID] = 1.0
         names, rows = [], []
