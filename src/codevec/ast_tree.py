@@ -1,6 +1,6 @@
 """AST data model: a rooted ordered tree of typed nodes where leaves carry
-string values, plus the S-expression serialization used to ingest trees
-produced by external parsers."""
+string values, plus the S-expression reader used to ingest trees produced
+by external parsers."""
 
 from __future__ import annotations
 
@@ -196,25 +196,3 @@ def read_sexpr_asts(text: str) -> list[Ast]:
         raise SExprError("empty input")
     return asts
 
-
-def _escape(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"')
-
-
-def write_sexpr_ast(ast: Ast) -> str:
-    """Serialize an Ast to its canonical S-expression form."""
-    parts = []
-    open_count = 0  # unclosed nonterminals: the ancestors of the next node
-    for node_id in ast.order:
-        depth = ast.depth[node_id]
-        if node_id != ast.root:
-            parts.append(")" * (open_count - depth) + " ")
-        node = ast.nodes[node_id]
-        if node.is_terminal:
-            parts.append(f'({node.kind} "{_escape(node.value)}")')
-            open_count = depth
-        else:
-            parts.append(f"({node.kind}")
-            open_count = depth + 1
-    parts.append(")" * open_count)
-    return "".join(parts)

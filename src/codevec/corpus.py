@@ -47,10 +47,6 @@ class Vocab:
     def entry(self, idx: int) -> str:
         return self.entries[idx]
 
-    def __eq__(self, other):
-        return (isinstance(other, Vocab) and self.entries == other.entries
-                and self.counts == other.counts)
-
 
 @dataclass
 class Vocabs:

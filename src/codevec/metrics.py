@@ -76,7 +76,7 @@ def evaluate_encoded(params: ModelParams, encoded: list[EncodedExample],
     """Score top-1 predictions for already-encoded examples. Examples with
     no contexts cannot be predicted and count as all-false-negative. The
     top-1 tag is the first maximum of q, so the lowest id wins ties, as in
-    `predict_topk`.
+    `model.top_k`.
 
     When `per_example` is a list, (true, predicted, tp, fp, fn) tuples are
     appended to it.

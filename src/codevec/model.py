@@ -211,20 +211,32 @@ def forward(params: ModelParams, example: EncodedExample, mode: str = "infer",
     return ForwardTrace(contexts, scale, combined, alpha, code_vector, q, mask, kind)
 
 
+def top_k(scores: np.ndarray, k: int,
+          exclude: set[int] | frozenset[int] = frozenset()) -> list[int]:
+    """Ids of the k highest scores, ties broken by id ascending, skipping
+    any id in `exclude`.
+
+    Only the scores at or above the (k + len(exclude))-th largest are
+    sorted; that shortlist keeps every tie straddling the position.
+    """
+    if k <= 0:
+        return []
+    m = k + len(exclude)
+    if m >= len(scores):
+        order = np.argsort(-scores, kind="stable")  # equal scores stay in id order
+    else:
+        kth = scores[np.argpartition(-scores, m - 1)[m - 1]]
+        shortlist = np.flatnonzero(scores >= kth)
+        order = shortlist[np.argsort(-scores[shortlist], kind="stable")]
+    return [i for i in order.tolist() if i not in exclude][:k]
+
+
 def predict_topk(params: ModelParams, example: EncodedExample, k: int,
                  vocabs: Vocabs) -> list[tuple[str, float]]:
-    """Top-k (tag, probability) pairs by probability, ties broken by tag id
-    ascending.
-
-    Only the shortlist of tags scoring at least the k-th largest
-    probability is sorted; it keeps every tie that straddles position k.
-    """
+    """Top-k (tag, probability) pairs ranked by `top_k`; PAD, never a real
+    label, is never listed."""
     q = forward(params, example, mode="infer").q
-    k = min(k, len(q))
-    kth = q[np.argpartition(-q, k - 1)[k - 1]]
-    shortlist = np.flatnonzero(q >= kth)
-    ranked = shortlist[np.lexsort((shortlist, -q[shortlist]))][:k]
-    return [(vocabs.tags.entry(int(i)), float(q[i])) for i in ranked]
+    return [(vocabs.tags.entry(i), float(q[i])) for i in top_k(q, k, {PAD_ID})]
 
 
 # --- binary model format -----------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 
 from .corpus import UNK_ID, Vocabs
 from .errors import VectorQueryError
-from .model import ModelParams
+from .model import ModelParams, top_k
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -39,52 +39,43 @@ class NameVectorTable:
         keep = UNK_ID + 1 + np.flatnonzero(norms[UNK_ID + 1:])
         return cls([vocabs.tags.entry(i) for i in keep], params.tags_vocab[keep])
 
-    def vector(self, name: str) -> np.ndarray:
+    def _id(self, name: str) -> int:
         idx = self._index.get(name)
         if idx is None:
             raise VectorQueryError(f"unknown name {name!r}")
-        return self.vectors[idx]
+        return idx
 
-    def _ranked(self, scores: np.ndarray, exclude: set[str], k: int):
-        if k <= 0:
-            return []
-        order = np.lexsort((np.arange(len(scores)), -scores))
-        out = []
-        for idx in order:
-            if self.names[idx] in exclude:
-                continue
-            out.append((self.names[idx], float(scores[idx])))
-            if len(out) == k:
-                break
-        return out
+    def vector(self, name: str) -> np.ndarray:
+        return self.vectors[self._id(name)]
+
+    def _named(self, scores: np.ndarray, k: int, ids: set[int]) -> list[tuple[str, float]]:
+        """(name, score) pairs of the `top_k` rows, the query rows `ids` excluded."""
+        return [(self.names[i], float(scores[i])) for i in top_k(scores, k, ids)]
 
     def nearest(self, name: str, k: int) -> list[tuple[str, float]]:
         """Tags ranked by cosine to the query vector, query excluded."""
-        unit = self.vector(name)
-        unit = unit / np.linalg.norm(unit)
-        return self._ranked(self.units @ unit, {name}, k)
+        idx = self._id(name)
+        return self._named(self.units @ self.units[idx], k, {idx})
 
     def combine(self, name_a: str, name_b: str, k: int) -> list[tuple[str, float]]:
         """Tags maximizing cos(a, v) + cos(b, v), computed through the
         equivalent unit-sum form (a_hat + b_hat) . v_hat."""
-        a = self.vector(name_a)
-        b = self.vector(name_b)
-        query = a / np.linalg.norm(a) + b / np.linalg.norm(b)
+        ia, ib = self._id(name_a), self._id(name_b)
+        query = self.units[ia] + self.units[ib]
         if np.linalg.norm(query) == 0.0:
             raise VectorQueryError(
                 f"degenerate query: {name_a!r} and {name_b!r} are antipodal")
-        return self._ranked(self.units @ query, {name_a, name_b}, k)
+        return self._named(self.units @ query, k, {ia, ib})
 
     def analogy(self, a: str, b: str, c: str, k: int) -> list[tuple[str, float]]:
         """Tags ranked by cosine to a_hat - b_hat + c_hat ('b is to a as c
         is to ?'), the three query names excluded."""
-        va, vb, vc = self.vector(a), self.vector(b), self.vector(c)
-        query = (va / np.linalg.norm(va) - vb / np.linalg.norm(vb)
-                 + vc / np.linalg.norm(vc))
+        ia, ib, ic = self._id(a), self._id(b), self._id(c)
+        query = self.units[ia] - self.units[ib] + self.units[ic]
         norm = np.linalg.norm(query)
         if norm == 0.0:
             raise VectorQueryError("degenerate query: composed vector is zero")
-        return self._ranked(self.units @ (query / norm), {a, b, c}, k)
+        return self._named(self.units @ (query / norm), k, {ia, ib, ic})
 
 
 def sum_of_cosines_ranking(table: NameVectorTable, name_a: str, name_b: str,
@@ -94,4 +85,4 @@ def sum_of_cosines_ranking(table: NameVectorTable, name_a: str, name_b: str,
     a = table.vector(name_a)
     b = table.vector(name_b)
     scores = np.array([cosine(a, v) + cosine(b, v) for v in table.vectors])
-    return table._ranked(scores, {name_a, name_b}, k)
+    return table._named(scores, k, {table._id(name_a), table._id(name_b)})

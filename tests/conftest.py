@@ -95,6 +95,30 @@ def structurally_equal(a: Ast, b: Ast) -> bool:
     return shape(a) == shape(b)
 
 
+def _escape(value: str) -> str:
+    return value.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def write_sexpr_ast(ast: Ast) -> str:
+    """Serialize an Ast to the canonical S-expression form that
+    `ast_tree.read_sexpr_asts` reads."""
+    parts = []
+    open_count = 0  # unclosed nonterminals: the ancestors of the next node
+    for node_id in ast.order:
+        depth = ast.depth[node_id]
+        if node_id != ast.root:
+            parts.append(")" * (open_count - depth) + " ")
+        node = ast.nodes[node_id]
+        if node.is_terminal:
+            parts.append(f'({node.kind} "{_escape(node.value)}")')
+            open_count = depth
+        else:
+            parts.append(f"({node.kind}")
+            open_count = depth + 1
+    parts.append(")" * open_count)
+    return "".join(parts)
+
+
 def oracle_path_contexts(ast: Ast, limits: ExtractionLimits) -> Counter:
     """Multiset of the brute-force string triples."""
     return Counter(oracle_path_context_list(ast, limits))

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from codevec.ast_tree import (Ast, AstBuilder, AstNode, normalize_value,
-                              read_sexpr_asts, write_sexpr_ast)
+from codevec.ast_tree import Ast, AstBuilder, AstNode, normalize_value, read_sexpr_asts
 from codevec.errors import MiniJSyntaxError, SExprError
 from codevec.minij import MAX_NESTING, parse_methods
 from codevec.paths import ExtractionLimits, path_to_string
 from codevec.pipeline import method_to_example
 
-from conftest import NESTING_SHAPES, deep_method, random_ast, structurally_equal
+from conftest import (NESTING_SHAPES, deep_method, random_ast, structurally_equal,
+                      write_sexpr_ast)
 
 
 class TestAstModel:

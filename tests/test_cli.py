@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codevec.ast_tree import write_sexpr_ast
 from codevec.cli import main
-from codevec.corpus import example_rng, load_dataset
+from codevec.corpus import example_rng, format_vocabs, load_dataset
 from codevec.minij import MAX_NESTING, parse_methods
 from codevec.model import MAX_SLOTS, AttentionVariant, load_model, save_model
 from codevec.paths import ExtractionLimits, path_to_string
 from codevec.pipeline import method_to_example
 
-from conftest import NESTING_SHAPES, deep_method, save_model_with, toy_minij_corpus
+from conftest import (NESTING_SHAPES, deep_method, save_model_with, toy_minij_corpus,
+                      write_sexpr_ast)
 
 GOOD_TREE = '(MethodDecl (Type "int") (Name "getX") (Block (Return (NameExpr "x"))))'
 
@@ -161,7 +161,8 @@ class TestTrainPredictEval:
         _, vocabs = load_model(str(out))
         for epoch in (1, 2):
             params, ckpt_vocabs = load_model(f"{out}.ckpt-{epoch}")
-            assert params.dims.d == 8 and ckpt_vocabs == vocabs
+            assert params.dims.d == 8
+            assert format_vocabs(ckpt_vocabs) == format_vocabs(vocabs)
 
     def test_training_deterministic_on_disk(self, dataset_file, tmp_path):
         paths = []
@@ -222,6 +223,18 @@ class TestTrainPredictEval:
                 probs = []
             else:
                 probs.append(float(line.split(" ")[1]))
+
+    def test_predict_topk_above_tag_count_lists_every_tag_but_pad(
+            self, model_file, tmp_path, capsys):
+        _, vocabs = load_model(str(model_file))
+        src = tmp_path / "one.mj"
+        src.write_text("int getCount() { return count; }", encoding="utf-8")
+        assert main(["predict", "--model", str(model_file), str(src),
+                     "--topk", str(len(vocabs.tags) + 5)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "# getCount"
+        listed = [line.split(" ")[0] for line in out[1:]]
+        assert sorted(listed) == sorted(vocabs.tags.entries[1:])  # all but PAD (id 0)
 
     def test_attention_weights_sum_to_one(self, model_file, tmp_path, capsys):
         src = tmp_path / "one.mj"

@@ -209,9 +209,9 @@ class TestVocabFormat:
         vocabs = build_vocabs(examples)
         text = format_vocabs(vocabs)
         again = parse_vocabs(text)
-        assert again.values == vocabs.values
-        assert again.paths == vocabs.paths
-        assert again.tags == vocabs.tags
+        for name in ("values", "paths", "tags"):
+            got, expected = getattr(again, name), getattr(vocabs, name)
+            assert (got.entries, got.counts) == (expected.entries, expected.counts)
         assert format_vocabs(again) == text
 
     def test_counts_descend(self):

@@ -9,7 +9,7 @@ from codevec.corpus import (PAD_ID, EncodedExample, RawExample,
 from codevec.errors import ModelFormatError, TrainingError
 from codevec.model import (MAX_SLOTS, AttentionVariant, ModelDims, ModelParams,
                            forward, init_params, load_model, predict_topk,
-                           save_model)
+                           save_model, top_k)
 from codevec.paths import PathContext, path_from_string
 
 from conftest import as_float64, random_encoded, save_model_with, tag_vocabs
@@ -206,6 +206,45 @@ class TestForward:
             forward(params, example, mode="train", dropout_rate=0.5)
 
 
+def full_sort(scores, k, exclude):
+    """Reference ranking: every id sorted by score, then id, exclusions dropped."""
+    order = np.lexsort((np.arange(len(scores)), -scores))
+    return [int(i) for i in order if i not in exclude][:k]
+
+
+class TestTopK:
+    SCORES = np.array([1.0, 3.0, 2.0, 3.0, 2.0, 2.0, 0.0])
+
+    def test_tie_straddling_k(self):
+        assert top_k(self.SCORES, 3) == full_sort(self.SCORES, 3, set()) == [1, 3, 2]
+
+    def test_excluded_ids_in_shortlist_and_at_the_tie(self):
+        # 3 ranks inside the shortlist; 2 opens the tie at position k.
+        assert top_k(self.SCORES, 3, {3, 2}) == full_sort(self.SCORES, 3, {3, 2}) == [1, 4, 5]
+
+    def test_shortlist_covering_every_id_sorts_all(self):
+        assert top_k(self.SCORES, 5, {0, 4}) == full_sort(self.SCORES, 5, {0, 4})
+        assert top_k(self.SCORES, 7) == full_sort(self.SCORES, 7, set())
+        assert top_k(self.SCORES, 100, {6}) == [1, 3, 2, 4, 5, 0]
+
+    def test_k_zero(self):
+        assert top_k(self.SCORES, 0) == top_k(self.SCORES, 0, {1}) == []
+
+    def test_every_id_excluded(self):
+        assert top_k(self.SCORES, 3, set(range(len(self.SCORES)))) == []
+
+    def test_matches_full_sort_on_tied_scores(self):
+        # Four distinct values put ties at and across every position.
+        rng = np.random.default_rng(12)
+        for _ in range(500):
+            n = int(rng.integers(1, 30))
+            scores = rng.integers(0, 4, size=n).astype(np.float32)
+            exclude = set(rng.choice(n, size=int(rng.integers(0, n + 1)),
+                                     replace=False).tolist())
+            k = int(rng.integers(0, n + 2))
+            assert top_k(scores, k, exclude) == full_sort(scores, k, exclude)
+
+
 class TestPredict:
     def test_full_distribution_sums_to_one(self):
         rng = np.random.default_rng(8)
@@ -221,13 +260,15 @@ class TestPredict:
         params = init_params(DIMS, AttentionVariant.SOFT, 4)
         example = random_encoded(rng, DIMS)
         vocabs = tag_vocabs(DIMS.num_tags)
-        assert len(predict_topk(params, example, 100, vocabs)) == DIMS.num_tags
+        ranked = predict_topk(params, example, 100, vocabs)
+        assert len(ranked) == DIMS.num_tags - 1
+        assert vocabs.tags.entry(PAD_ID) not in [tag for tag, _ in ranked]
 
     @pytest.mark.parametrize("k", [1, 3, 5, 12])
     def test_ties_ranked_by_id_like_a_full_sort(self, k):
         # Tag rows copied within a class give exactly equal probabilities.
-        # Class sizes 2, 2, 3, 2, 2 over ids 1..11 (PAD last, q = 0) put
-        # ties across positions 1, 3 and 5 and below them.
+        # Class sizes 2, 2, 3, 2, 2 over ids 1..11 put ties across
+        # positions 1, 3 and 5 and below them. PAD is never listed.
         dims = ModelDims(d=4, num_values=6, num_paths=5, num_tags=12, k_max=5)
         rng = np.random.default_rng(11)
         params = init_params(dims, AttentionVariant.SOFT, 4)
@@ -238,7 +279,7 @@ class TestPredict:
             params.tags_vocab[members] = (3.0 - cls) * code / (code @ code)
         q = forward(params, example).q
         assert q[ids[4]] == q[ids[5]] == q[ids[6]] > q[ids[7]] == q[ids[8]]
-        full = np.lexsort((np.arange(len(q)), -q))[:k]
+        full = [i for i in np.lexsort((np.arange(len(q)), -q)) if i != PAD_ID][:k]
         vocabs = tag_vocabs(dims.num_tags)
         assert predict_topk(params, example, k, vocabs) == [
             (vocabs.tags.entry(int(i)), float(q[i])) for i in full]
@@ -282,8 +323,9 @@ class TestSerialization:
         assert loaded.dims == params.dims
         for name, arr in params.groups().items():
             assert (arr == loaded.groups()[name]).all()
-        assert loaded_vocabs.values == vocabs.values
-        assert loaded_vocabs.tags == vocabs.tags
+        for name in ("values", "tags"):
+            got, expected = getattr(loaded_vocabs, name), getattr(vocabs, name)
+            assert (got.entries, got.counts) == (expected.entries, expected.counts)
 
     def test_round_trip_predictions_identical(self, tmp_path):
         params, vocabs = self.make_model(AttentionVariant.SOFT, seed=3)

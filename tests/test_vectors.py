@@ -147,6 +147,35 @@ class TestAnalogy:
         assert {"name0", "name1", "name2"}.isdisjoint(n for n, _ in out)
 
 
+class TestTies:
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 11])
+    def test_ties_ranked_by_id_like_a_full_sort(self, k):
+        # Rows copied within a class give exactly equal scores. Class sizes
+        # 2, 2, 3, 2, 2 over 11 rows, in shuffled order, put ties across
+        # positions k; a query name's copies tie with the name itself.
+        rng = np.random.default_rng(14)
+        classes = rng.permutation(np.repeat(np.arange(5), [2, 2, 3, 2, 2]))
+        names = [f"t{i}" for i in range(len(classes))]
+        table = NameVectorTable(names, rng.normal(size=(5, 4))[classes])
+        units = table.units
+
+        def full_sort(scores, exclude):
+            order = np.lexsort((np.arange(len(names)), -scores))
+            return [(names[i], float(scores[i])) for i in order
+                    if names[i] not in exclude][:k]
+
+        for _ in range(20):
+            a, b, c = rng.choice(names, size=3)
+            ua, ub, uc = (units[names.index(x)] for x in (a, b, c))
+            composed = ua - ub + uc
+            assert table.nearest(a, k) == full_sort(units @ ua, {a})
+            assert table.combine(a, b, k) == full_sort(units @ (ua + ub), {a, b})
+            assert table.analogy(a, b, c, k) == full_sort(
+                units @ (composed / np.linalg.norm(composed)), {a, b, c})
+        scores = units @ units[0]
+        assert len(set(scores.tolist())) == 5  # the copies tie exactly
+
+
 class TestTableConstruction:
     def test_from_params_skips_pad_unk(self):
         examples = [RawExample(label, [PathContext("x", path_from_string("A^M_B"), "7")])
