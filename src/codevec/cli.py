@@ -10,7 +10,7 @@ import sys
 from .ast_tree import read_sexpr_asts
 from .corpus import (ABLATIONS, RawExample, build_vocabs, encode_example,
                      example_rng, load_dataset, sample_contexts, write_dataset)
-from .errors import CodevecError, TrainingError
+from .errors import CodevecError, DatasetFormatError, TrainingError
 from .metrics import evaluate
 from .minij import parse_methods
 from .model import (MAX_SLOTS, AttentionVariant, forward, load_model, predict_topk,
@@ -45,6 +45,7 @@ def _checked(convert, ok, requirement: str):
 
 
 _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+_non_negative_int = _checked(int, lambda v: v >= 0, ">= 0")
 
 
 def _fail(failures: list[str], message: str) -> None:
@@ -101,6 +102,8 @@ def cmd_extract(args) -> int:
 def cmd_train(args) -> int:
     train_set = load_dataset(args.train)
     val_set = load_dataset(args.val) if args.val else train_set
+    if args.val and not val_set:
+        raise DatasetFormatError(f"{args.val}: empty validation set")
     vocabs = build_vocabs(train_set, args.max_values, args.max_paths, args.max_tags)
     config = TrainConfig(
         learning_rate=args.lr, batch_size=args.batch, max_epochs=args.epochs,
@@ -129,7 +132,7 @@ def cmd_predict(args) -> int:
             continue
         rng = example_rng(args.seed, 0)  # one draw, shared by top-k and --attention
         example = RawExample(example.label, sample_contexts(example.contexts, k_max, rng))
-        encoded = encode_example(example, vocabs, k_max, rng)
+        encoded = encode_example(example, vocabs, k_max, rng, params.ablation)
         ranking = predict_topk(params, encoded, args.topk, vocabs)
         print(f"# {example.label}")
         for tag, prob in ranking:
@@ -153,8 +156,7 @@ def cmd_eval(args) -> int:
     params, vocabs = load_model(args.model)
     dataset = load_dataset(args.input)
     per_example = [] if args.per_example else None
-    metrics = evaluate(params, dataset, vocabs, seed=args.seed,
-                       ablation=ABLATIONS[args.ablation], per_example=per_example)
+    metrics = evaluate(params, dataset, vocabs, seed=args.seed, per_example=per_example)
     print(metrics.summary())
     if args.per_example:
         with open(args.per_example, "w", encoding="utf-8") as handle:
@@ -175,8 +177,7 @@ def cmd_query(args) -> int:
 
 def _add_limits(parser) -> None:
     parser.add_argument("--max-length", type=_positive_int, default=8)
-    parser.add_argument("--max-width", type=_checked(int, lambda v: v >= 0, ">= 0"),
-                        default=2)
+    parser.add_argument("--max-width", type=_non_negative_int, default=2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -206,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=[v.value for v in AttentionVariant],
                    default="soft")
     p.add_argument("--ablation", choices=sorted(ABLATIONS), default="full")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_non_negative_int, default=1)
     p.add_argument("--checkpoints", action="store_true",
                    help="also save a .ckpt-<epoch> model after each epoch")
     p.add_argument("--max-values", type=_positive_int, default=50_000)
@@ -220,15 +221,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topk", type=_positive_int, default=5)
     p.add_argument("--attention", action="store_true",
                    help="print per-context attention weights, descending")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     _add_limits(p)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="evaluate a model over a dataset file")
     p.add_argument("--model", required=True)
     p.add_argument("input")
-    p.add_argument("--ablation", choices=sorted(ABLATIONS), default="full")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--per-example", help="write per-example TSV to this path")
     p.set_defaults(func=cmd_eval)
 

@@ -6,8 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import (ABLATIONS, AblationMask, EncodedExample, RawExample,
-                     Vocabs, encode_dataset, split_subtokens)
+from .corpus import EncodedExample, RawExample, Vocabs, encode_dataset, split_subtokens
 from .errors import DatasetFormatError
 from .model import ModelParams, forward
 
@@ -93,13 +92,12 @@ def evaluate_encoded(params: ModelParams, encoded: list[EncodedExample],
 
 
 def evaluate(params: ModelParams, dataset: list[RawExample], vocabs: Vocabs,
-             seed: int = 0, ablation: AblationMask = ABLATIONS["full"],
-             per_example: list | None = None) -> Metrics:
-    """Evaluate a trained model over a raw dataset (deterministic: context
-    subsampling uses per-example seeded generators); see `evaluate_encoded`
-    for `per_example`."""
+             seed: int = 0, per_example: list | None = None) -> Metrics:
+    """Evaluate a trained model over a raw dataset, encoded with the
+    model's ablation (deterministic: context subsampling uses per-example
+    seeded generators); see `evaluate_encoded` for `per_example`."""
     if not dataset:
         raise DatasetFormatError("empty dataset")
-    encoded = encode_dataset(dataset, vocabs, params.dims.k_max, seed, ablation)
+    encoded = encode_dataset(dataset, vocabs, params.dims.k_max, seed, params.ablation)
     return evaluate_encoded(params, encoded, [raw.label for raw in dataset],
                             vocabs, per_example)

@@ -7,12 +7,13 @@ Every intermediate is exposed for backprop and inspection.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .corpus import PAD_ID, EncodedExample, Vocabs, format_vocabs, parse_vocabs
+from .corpus import (ABLATIONS, PAD_ID, AblationMask, EncodedExample, Vocabs,
+                     format_vocabs, parse_vocabs)
 from .errors import ModelFormatError, TrainingError
 
 
@@ -61,6 +62,7 @@ class ModelParams:
     W: np.ndarray | None     # (d, 3d); absent for the no-FC variant
     attention: np.ndarray    # (d,), (3d,) for no-FC, (d, d) for element-wise
     tags_vocab: np.ndarray   # (|Y|, d), (|Y|, 3d) for no-FC
+    ablation: AblationMask = ABLATIONS["full"]  # the encoding it was trained on
 
     def groups(self) -> dict[str, np.ndarray]:
         """Named learnable arrays, in declaration order."""
@@ -86,6 +88,7 @@ class ForwardTrace:
     combined: np.ndarray          # (k, dc)
     alpha: np.ndarray
     code_vector: np.ndarray       # (dc,)
+    logits: np.ndarray            # (|Y|,), the scores q is the softmax of
     q: np.ndarray                 # (|Y|,), q[PAD] == 0
     mask: np.ndarray              # (k,)
     attention_kind: str           # 'soft' | 'uniform' | 'hard' | 'elementwise'
@@ -111,7 +114,8 @@ def _shapes(dims: ModelDims, variant: AttentionVariant) -> dict[str, tuple[int, 
     return shapes
 
 
-def init_params(dims: ModelDims, variant: AttentionVariant, seed: int) -> ModelParams:
+def init_params(dims: ModelDims, variant: AttentionVariant, seed: int,
+                ablation: AblationMask = ABLATIONS["full"]) -> ModelParams:
     """Glorot-uniform initialization, deterministic per seed; PAD rows zero.
     Single precision, as the model file stores it: training, inference
     and `save_model` all see the same values."""
@@ -120,7 +124,7 @@ def init_params(dims: ModelDims, variant: AttentionVariant, seed: int) -> ModelP
               for name, shape in _shapes(dims, variant).items()}
     for name in ("value_vocab", "path_vocab", "tags_vocab"):
         groups[name][PAD_ID] = 0.0
-    return ModelParams(dims, variant, **{"W": None, **groups})
+    return ModelParams(dims, variant, **{"W": None, **groups}, ablation=ablation)
 
 
 def _masked_softmax(scores: np.ndarray, valid: np.ndarray, axis: int) -> np.ndarray:
@@ -208,7 +212,8 @@ def forward(params: ModelParams, example: EncodedExample, mode: str = "infer",
     if mode == "infer" and not np.isfinite(q).all():
         raise TrainingError("non-finite scores")
 
-    return ForwardTrace(contexts, scale, combined, alpha, code_vector, q, mask, kind)
+    return ForwardTrace(contexts, scale, combined, alpha, code_vector, logits, q, mask,
+                        kind)
 
 
 def top_k(scores: np.ndarray, k: int,
@@ -241,11 +246,12 @@ def predict_topk(params: ModelParams, example: EncodedExample, k: int,
 
 # --- binary model format -----------------------------------------------------
 #
-# magic 'C2V1'; little-endian u32 [variant code, d, |X|, |P|, |Y|, k_max];
-# u32-length-prefixed UTF-8 vocabulary block; matrices in declaration
-# order, row-major float32 little-endian.
+# magic 'C2V2'; little-endian u32 [variant code, d, |X|, |P|, |Y|, k_max,
+# ablation bits: bit i set hides AblationMask field i, so 1 source, 2 path,
+# 4 target]; u32-length-prefixed UTF-8 vocabulary block; matrices in
+# declaration order, row-major float32 little-endian.
 
-MAGIC = b"C2V1"
+MAGIC = b"C2V2"
 
 
 def check_single_precision(params: ModelParams, suffix: str = "") -> None:
@@ -263,9 +269,10 @@ def save_model(path: str, params: ModelParams, vocabs: Vocabs) -> None:
     vocab_blob = format_vocabs(vocabs).encode("utf-8")
     with open(path, "wb") as handle:
         handle.write(MAGIC)
-        handle.write(struct.pack("<6I", _VARIANT_CODES[params.variant], dims.d,
+        handle.write(struct.pack("<7I", _VARIANT_CODES[params.variant], dims.d,
                                  dims.num_values, dims.num_paths, dims.num_tags,
-                                 dims.k_max))
+                                 dims.k_max, sum(hide << i for i, hide in
+                                                 enumerate(astuple(params.ablation)))))
         handle.write(struct.pack("<I", len(vocab_blob)))
         handle.write(vocab_blob)
         for matrix in params.groups().values():
@@ -278,9 +285,11 @@ def load_model(path: str) -> tuple[ModelParams, Vocabs]:
     if data[:4] != MAGIC:
         raise ModelFormatError("bad magic; not a codevec model file")
     try:
-        code, d, nx, np_, ny, k_max = struct.unpack_from("<6I", data, 4)
-        (blob_len,) = struct.unpack_from("<I", data, 28)
-        blob = data[32:32 + blob_len]
+        code, d, nx, np_, ny, k_max, bits = struct.unpack_from("<7I", data, 4)
+        if bits >= 8:
+            raise ModelFormatError(f"unknown ablation bits {bits}")
+        (blob_len,) = struct.unpack_from("<I", data, 32)
+        blob = data[36:36 + blob_len]
         if len(blob) != blob_len:
             raise ModelFormatError("truncated vocabulary block")
         vocabs = parse_vocabs(blob.decode("utf-8"))
@@ -291,7 +300,7 @@ def load_model(path: str) -> tuple[ModelParams, Vocabs]:
         if (len(vocabs.values), len(vocabs.paths), len(vocabs.tags)) != (nx, np_, ny):
             raise ModelFormatError("vocabulary sizes disagree with header")
 
-        offset = 32 + blob_len
+        offset = 36 + blob_len
 
         def take(shape):
             nonlocal offset
@@ -312,4 +321,5 @@ def load_model(path: str) -> tuple[ModelParams, Vocabs]:
         raise ModelFormatError(f"truncated model file: {exc}") from None
     except ValueError as exc:  # header dimensions, or a vocabulary block not in UTF-8
         raise ModelFormatError(f"bad model file: {exc}") from None
-    return ModelParams(dims, variant, **{"W": None, **groups}), vocabs
+    ablation = AblationMask(*(bool(bits >> i & 1) for i in range(3)))
+    return ModelParams(dims, variant, **{"W": None, **groups}, ablation=ablation), vocabs

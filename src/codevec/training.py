@@ -27,9 +27,19 @@ ADAM_EPSILON = 1e-8
 
 def loss(trace: ForwardTrace, label_id) -> float | np.ndarray:
     """Negative log-likelihood of the true label under the predicted
-    distribution; one per example for a stacked batch."""
-    picked = np.take_along_axis(trace.q, np.expand_dims(label_id, -1), axis=-1)
-    return -np.log(picked[..., 0])
+    distribution; one per example for a stacked batch. It is -log q[label]
+    where q[label] is a normal float; where q[label] underflows, it is
+    log-sum-exp over the real tags' logits minus the label's logit, which
+    stays finite however far the label trails."""
+    label = np.expand_dims(label_id, -1)
+    q = np.take_along_axis(trace.q, label, axis=-1)[..., 0]
+    tiny = np.finfo(q.dtype).tiny
+    real = np.arange(trace.logits.shape[-1]) != PAD_ID
+    shifted = np.where(real, trace.logits, -np.inf)
+    shifted -= shifted.max(axis=-1, keepdims=True)
+    log_sum = np.log(np.exp(shifted).sum(axis=-1))
+    return np.where(q >= tiny, -np.log(np.maximum(q, tiny)),
+                    log_sum - np.take_along_axis(shifted, label, axis=-1)[..., 0])
 
 
 @dataclass
@@ -215,18 +225,17 @@ def train(train_set: list[RawExample], val_set: list[RawExample], vocabs: Vocabs
         raise TrainingError("empty training set")
     dims = ModelDims(config.dim, len(vocabs.values), len(vocabs.paths),
                      len(vocabs.tags), config.k_max)
-    params = init_params(dims, config.variant, config.seed)
+    params = init_params(dims, config.variant, config.seed, config.ablation)
     state = AdamState.zeros_like(params)
     shuffle_rng = np.random.default_rng(config.seed)
     dropout_rng = np.random.default_rng(config.seed + 1)
 
     val_encoded = encode_dataset(val_set, vocabs, config.k_max, config.seed,
-                                 config.ablation)
+                                 params.ablation)
     val_labels = [raw.label for raw in val_set]
 
     history: list[EpochStats] = []
     best_f1 = -1.0
-    best_params = params.copy()
     best_epoch = 0
     untrainable = sum(1 for raw in train_set if not raw.contexts)
     if untrainable and log:
@@ -234,7 +243,7 @@ def train(train_set: list[RawExample], val_set: list[RawExample], vocabs: Vocabs
 
     for epoch in range(1, config.max_epochs + 1):
         encoded = encode_dataset(train_set, vocabs, config.k_max, config.seed,
-                                 config.ablation, epoch=epoch)
+                                 params.ablation, epoch=epoch)
         order = shuffle_rng.permutation(len(encoded))
         order = [i for i in order if encoded[i].trainable]
 

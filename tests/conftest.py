@@ -221,8 +221,8 @@ def save_model_with(path, params, vocabs, name: str, index: tuple, value: float)
     overwritten with `value`: how a test writes a file `save_model` refuses."""
     save_model(str(path), params, vocabs)
     with open(path, "r+b") as handle:
-        (blob_len,) = struct.unpack_from("<I", handle.read(32), 28)
-        offset = 32 + blob_len
+        (blob_len,) = struct.unpack_from("<I", handle.read(36), 32)
+        offset = 36 + blob_len
         for group, arr in params.groups().items():
             if group == name:
                 offset += 4 * int(np.ravel_multi_index(index, arr.shape))

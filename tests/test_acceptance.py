@@ -233,8 +233,7 @@ def _ablation_exact(examples, ablation_name):
                          dropout_rate=0.0, batch_size=32, seed=3,
                          ablation=ABLATIONS[ablation_name])
     params, _ = train(examples, examples, vocabs, config)
-    return evaluate(params, examples, vocabs,
-                    ablation=ABLATIONS[ablation_name]).exact_match
+    return evaluate(params, examples, vocabs).exact_match
 
 
 @criterion(7, "ablations separate structure-only from lexicon-only signal")

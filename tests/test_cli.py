@@ -1,6 +1,8 @@
 import contextlib
 import io
 import re
+import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codevec.cli import main
-from codevec.corpus import example_rng, format_vocabs, load_dataset
+from codevec.corpus import (ABLATIONS, RawExample, encode_example, example_rng,
+                            format_vocabs, load_dataset, sample_contexts)
+from codevec.metrics import evaluate
 from codevec.minij import MAX_NESTING, parse_methods
-from codevec.model import MAX_SLOTS, AttentionVariant, load_model, save_model
+from codevec.model import (MAX_SLOTS, AttentionVariant, load_model, predict_topk,
+                           save_model)
 from codevec.paths import ExtractionLimits, path_to_string
 from codevec.pipeline import method_to_example
 
@@ -191,13 +196,52 @@ class TestTrainPredictEval:
         assert len(rows) == 50
         assert all(len(row) == 5 for row in rows)
 
-    def test_eval_ablation_flag_degrades(self, model_file, dataset_file, capsys):
+    def test_ablation_probe_degrades(self, model_file, dataset_file, capsys):
+        # `eval` encodes as the model was trained; probing a trained model
+        # with another encoding is a library call on a replaced ablation.
+        params, vocabs = load_model(str(model_file))
+        dataset = load_dataset(str(dataset_file))
         main(["eval", "--model", str(model_file), str(dataset_file)])
         full = float(capsys.readouterr().out.split("F1=")[1].split()[0])
-        main(["eval", "--model", str(model_file), str(dataset_file),
-              "--ablation", "no-values"])
-        ablated = float(capsys.readouterr().out.split("F1=")[1].split()[0])
-        assert ablated <= full
+        assert f"{evaluate(params, dataset, vocabs).f1:.4f}" == f"{full:.4f}"
+        probe = replace(params, ablation=ABLATIONS["no-values"])
+        assert evaluate(probe, dataset, vocabs).f1 <= full
+        with pytest.raises(SystemExit) as excinfo:
+            main(["eval", "--model", str(model_file), str(dataset_file),
+                  "--ablation", "no-values"])
+        assert excinfo.value.code == 1
+
+    @pytest.mark.parametrize("ablation", sorted(ABLATIONS))
+    def test_eval_and_predict_encode_as_train_did(self, ablation, dataset_file,
+                                                  corpus_file, tmp_path, capsys):
+        # `eval --seed s` reproduces the F1 `train --seed s` logged for the
+        # epoch it kept, and `predict` ranks the model's own encoding.
+        model = tmp_path / "m.bin"
+        assert main(["train", "--train", str(dataset_file), "-o", str(model),
+                     "--ablation", ablation, "--dim", "16", "--kmax", "50",
+                     "--epochs", "30", "--patience", "30", "--dropout", "0",
+                     "--lr", "0.01", "--seed", "3"]) == 0
+        logged = re.findall(r"val_f1=(\S+)", capsys.readouterr().err)
+        assert main(["eval", "--model", str(model), str(dataset_file),
+                     "--seed", "3"]) == 0
+        printed = capsys.readouterr().out.split("F1=")[1].split()[0]
+        assert printed == max(logged, key=float)
+
+        params, vocabs = load_model(str(model))
+        assert params.ablation == ABLATIONS[ablation]
+        expected = []
+        for ast in parse_methods(corpus_file.read_text(encoding="utf-8")):
+            example = method_to_example(ast, ExtractionLimits(8, 2))
+            rng = example_rng(0, 0)
+            example = RawExample(example.label, sample_contexts(
+                example.contexts, params.dims.k_max, rng))
+            encoded = encode_example(example, vocabs, params.dims.k_max, rng,
+                                     params.ablation)
+            expected.append(f"# {example.label}")
+            expected += [f"{tag} {prob:.6f}"
+                         for tag, prob in predict_topk(params, encoded, 5, vocabs)]
+        assert main(["predict", "--model", str(model), str(corpus_file)]) == 0
+        assert capsys.readouterr().out.splitlines() == expected
 
     def test_predict_output_format(self, model_file, corpus_file, capsys):
         assert main(["predict", "--model", str(model_file),
@@ -305,6 +349,37 @@ class TestTrainPredictEval:
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"NOTAMODEL")
         assert main(["eval", "--model", str(bad), str(dataset_file)]) == 2
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    @pytest.mark.parametrize("fault,message", [
+        ("C2V1 magic", "bad magic"), ("ablation bits 8", "unknown ablation bits 8")])
+    def test_bad_model_header_is_data_error(self, command, fault, message, model_file,
+                                            corpus_file, dataset_file, tmp_path, capsys):
+        data = bytearray(model_file.read_bytes())
+        if fault == "C2V1 magic":
+            data[:4] = b"C2V1"
+        else:
+            struct.pack_into("<I", data, 28, 8)
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(bytes(data))
+        source = corpus_file if command == "predict" else dataset_file
+        assert main([command, "--model", str(bad), str(source)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_empty_validation_set_is_data_error(self, dataset_file, tmp_path,
+                                                capsys):
+        empty = tmp_path / "empty.c2v"
+        empty.write_text("", encoding="utf-8")
+        out = tmp_path / "m.bin"
+        assert main(["train", "--train", str(dataset_file), "--val", str(empty),
+                     "-o", str(out), "--dim", "8", "--kmax", "20",
+                     "--epochs", "2"]) == 2
+        err = capsys.readouterr().err
+        assert f"{empty}: empty validation set" in err
+        assert "epoch=" not in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_non_finite_model_is_data_error(self, model_file, corpus_file,
                                             tmp_path, capsys):
@@ -444,6 +519,9 @@ class TestUsageErrors:
         ["extract", "corpus.mj", "-o", "OUT", "--max-width", "-1"],
         ["predict", "--model", "m.bin", "corpus.mj", "--max-width", "-1"],
         ["train", "--train", "t.c2v", "-o", "OUT", "--kmax", str(MAX_SLOTS + 1)],
+        ["train", "--train", "t.c2v", "-o", "OUT", "--seed", "-1"],
+        ["eval", "--model", "m.bin", "t.c2v", "--seed", "-1"],
+        ["predict", "--model", "m.bin", "corpus.mj", "--seed", "-1"],
     ] + [
         ["train", "--train", "t.c2v", "-o", "OUT", flag, value]
         for flag, values in [("--dropout", ["1.0", "-0.5", "nan"]),

@@ -107,7 +107,7 @@ def test_vocabulary_block(files, data):
 
 def _override(base: bytes, field: int, value: int) -> bytes:
     """`base` with header u32 field `field` (0 variant, 1 d, 2 |X|, 3 |P|,
-    4 |Y|, 5 k_max) set to `value`."""
+    4 |Y|, 5 k_max, 6 ablation bits) set to `value`."""
     data = bytearray(base)
     struct.pack_into("<I", data, 4 + 4 * field, value)
     return bytes(data)
@@ -121,10 +121,10 @@ def test_model_bytes(files, data):
     base = files["model.bin"].read_bytes()
     if data is None:
         # d = 0 in the header, and a vocabulary block that is not UTF-8
-        cases = [_override(base, 1, 0), _flip(base, [(32, 0x80)])]
+        cases = [_override(base, 1, 0), _flip(base, [(36, 0x80)])]
     else:
         cases = [data.draw(mutations(base) | st.builds(
-            _override, st.just(base), st.integers(0, 5), st.integers(0, 2**32 - 1)))]
+            _override, st.just(base), st.integers(0, 6), st.integers(0, 2**32 - 1)))]
     for model in cases:
         files["bad.bin"].write_bytes(model)
         with contextlib.suppress(CodevecError):

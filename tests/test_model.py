@@ -1,11 +1,12 @@
+import itertools
 import math
 import struct
 
 import numpy as np
 import pytest
 
-from codevec.corpus import (PAD_ID, EncodedExample, RawExample,
-                            build_vocabs, encode_example, example_rng)
+from codevec.corpus import (ABLATIONS, PAD_ID, AblationMask, EncodedExample,
+                            RawExample, build_vocabs, encode_example, example_rng)
 from codevec.errors import ModelFormatError, TrainingError
 from codevec.model import (MAX_SLOTS, AttentionVariant, ModelDims, ModelParams,
                            forward, init_params, load_model, predict_topk,
@@ -306,12 +307,53 @@ def tiny_vocabs():
 
 
 class TestSerialization:
-    def make_model(self, variant, seed=0):
+    def make_model(self, variant, seed=0, ablation=ABLATIONS["full"]):
         vocabs = tiny_vocabs()
         dims = ModelDims(4, len(vocabs.values), len(vocabs.paths),
                          len(vocabs.tags), 5)
-        params = init_params(dims, variant, seed)
+        params = init_params(dims, variant, seed, ablation)
         return params, vocabs
+
+    @pytest.mark.parametrize("hide", list(itertools.product([False, True], repeat=3)),
+                             ids=lambda hide: "".join("01"[h] for h in hide))
+    def test_ablation_round_trips(self, tmp_path, hide):
+        # Any AblationMask, the five named ones among them, is saved in the
+        # header; save -> load -> save is byte-identical.
+        ablation = AblationMask(*hide)
+        params, vocabs = self.make_model(AttentionVariant.SOFT, ablation=ablation)
+        first, second = tmp_path / "first.bin", tmp_path / "second.bin"
+        save_model(str(first), params, vocabs)
+        loaded, loaded_vocabs = load_model(str(first))
+        assert loaded.ablation == ablation
+        save_model(str(second), loaded, loaded_vocabs)
+        assert second.read_bytes() == first.read_bytes()
+        bits = struct.unpack_from("<I", first.read_bytes(), 28)[0]
+        assert bits == hide[0] + 2 * hide[1] + 4 * hide[2]
+
+    def test_init_params_ablation_defaults_to_full(self):
+        params, _ = self.make_model(AttentionVariant.SOFT)
+        assert params.ablation == ABLATIONS["full"] == AblationMask()
+        assert params.copy().ablation == params.ablation
+
+    @pytest.mark.parametrize("bits", [8, 9, 2**32 - 1])
+    def test_unknown_ablation_bits_rejected(self, tmp_path, bits):
+        params, vocabs = self.make_model(AttentionVariant.SOFT)
+        path = tmp_path / "model.bin"
+        save_model(str(path), params, vocabs)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<I", data, 28, bits)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ModelFormatError, match=f"^unknown ablation bits {bits}$"):
+            load_model(str(path))
+
+    def test_previous_format_rejected(self, tmp_path):
+        # A C2V1 file, whose header had no ablation field, is not read.
+        params, vocabs = self.make_model(AttentionVariant.SOFT)
+        path = tmp_path / "model.bin"
+        save_model(str(path), params, vocabs)
+        path.write_bytes(b"C2V1" + path.read_bytes()[4:])
+        with pytest.raises(ModelFormatError, match="^bad magic"):
+            load_model(str(path))
 
     @pytest.mark.parametrize("variant", list(AttentionVariant))
     def test_round_trip_bit_identical(self, tmp_path, variant):
@@ -351,7 +393,8 @@ class TestSerialization:
             save_model(str(refused), params, vocabs)
         assert not refused.exists()
 
-    # Header u32 fields 0-5 after the magic: variant, d, |X|, |P|, |Y|, k_max.
+    # Header u32 fields 0-6 after the magic: variant, d, |X|, |P|, |Y|, k_max,
+    # ablation bits.
     @pytest.mark.parametrize("field,value", [
         (1, 0), (5, 0), (5, MAX_SLOTS + 1), (2, 2), (4, 1)],
         ids=["d=0", "k_max=0", "k_max too large", "2 values", "1 tag"])
@@ -370,7 +413,7 @@ class TestSerialization:
         path = tmp_path / "model.bin"
         save_model(str(path), params, vocabs)
         data = bytearray(path.read_bytes())
-        data[32] = 0xFF  # first byte of the vocabulary block
+        data[36] = 0xFF  # first byte of the vocabulary block
         path.write_bytes(bytes(data))
         with pytest.raises(ModelFormatError, match="utf-8"):
             load_model(str(path))

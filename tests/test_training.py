@@ -75,6 +75,26 @@ class TestLoss:
         assert loss(trace, example.label_id) == pytest.approx(
             -np.log(trace.q[example.label_id]), abs=1e-15)
 
+    def test_large_logit_gap_stays_finite(self):
+        # The label trails the top logit by 200, so its float32 probability
+        # underflows to 0; the loss is still log-sum-exp minus the label's
+        # logit, as float64 computes it, within float32 rounding.
+        params = init_params(DIMS, AttentionVariant.SOFT, 2)
+        example = random_encoded(np.random.default_rng(2), DIMS)
+        real = np.arange(DIMS.num_tags) != PAD_ID
+        logits = np.where(real, forward(params, example).logits, np.inf)
+        label = int(np.argmin(logits))
+        params.tags_vocab *= 200 / (logits[real].max() - logits[label])
+        trace = forward(params, example)
+        assert trace.q.dtype == np.float32 and trace.q[label] == 0.0
+        z = trace.logits[real].astype(np.float64)
+        expected = np.log(np.exp(z - z.max()).sum()) + z.max() - trace.logits[label]
+        assert 199 < expected < 201
+        assert loss(trace, label) == pytest.approx(expected, rel=np.finfo(np.float32).eps)
+        batch = stack_examples([example, example])
+        assert (loss(forward(params, batch), np.array([label, label]))
+                == loss(trace, label)).all()
+
 
 class TestGradients:
     @pytest.mark.parametrize("variant", GRAD_VARIANTS)
@@ -322,15 +342,28 @@ class TestDescentAndTraining:
 
     def test_non_finite_loss_names_epoch_and_example(self):
         # The first epoch leaves the parameters finite in single precision
-        # but so large that the next epoch's scores overflow; the first bad
-        # example, in batch order, is named by its dataset index. (A rate of
-        # 1e300 is not a float32: its first step leaves them infinite.)
+        # but so large that in the next epoch a label trails the top logit
+        # by more than a float32 holds, so the loss itself overflows; the
+        # first bad example, in batch order, is named by its dataset index.
+        # (A rate of 1e300 is not a float32: its first step leaves the
+        # parameters infinite.)
         examples = self.toy_dataset()[:10]
         vocabs = build_vocabs(examples)
-        config = TrainConfig(learning_rate=1e30, dim=8, k_max=20)
+        config = TrainConfig(learning_rate=7e37, dim=8, k_max=20)
         with pytest.raises(TrainingError,
                            match=r"^non-finite loss at epoch 2, example 0: "):
             train(examples, examples, vocabs, config)
+
+    def test_trailing_label_does_not_stop_training(self):
+        # At rate 1.0 a label comes to trail the top logit so far that its
+        # float32 probability underflows to 0; the loss stays finite, so
+        # every epoch runs.
+        examples = self.toy_dataset()
+        config = TrainConfig(learning_rate=1.0, dim=32, k_max=50, batch_size=8,
+                             dropout_rate=0.0, seed=5, max_epochs=60, patience=60)
+        _, history = train(examples, examples, build_vocabs(examples), config)
+        assert len(history) == 60
+        assert all(np.isfinite(stats.loss) for stats in history)
 
     def test_parameters_past_single_precision_raise(self):
         # One epoch of one step keeps every loss finite but moves the
@@ -375,6 +408,7 @@ class TestDescentAndTraining:
         config = TrainConfig(learning_rate=1e-2, dim=8, k_max=20, max_epochs=10,
                              patience=10, seed=4, ablation=ABLATIONS["value-path"])
         params, history = train(train_set, val_set, vocabs, config)
+        assert params.ablation == config.ablation
         best_f1 = max(h.val_f1 for h in history)
         assert best_f1 > 0.0 and best_f1 > history[-1].val_f1  # best is not last
         path = str(tmp_path / "model.bin")
@@ -383,8 +417,8 @@ class TestDescentAndTraining:
         for name, arr in params.groups().items():
             assert arr.dtype == np.float32, name
             assert np.array_equal(loaded.groups()[name], arr), name
-        metrics = evaluate(loaded, val_set, loaded_vocabs, seed=config.seed,
-                           ablation=config.ablation)
+        assert loaded.ablation == config.ablation
+        metrics = evaluate(loaded, val_set, loaded_vocabs, seed=config.seed)
         assert metrics.f1 == best_f1
 
     def test_non_finite_learning_rate_rejected(self):
