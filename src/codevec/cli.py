@@ -9,13 +9,14 @@ import sys
 
 from .ast_tree import read_sexpr_asts
 from .corpus import (ABLATIONS, RawExample, build_vocabs, encode_example,
-                     example_rng, load_dataset, sample_contexts, write_dataset)
-from .errors import CodevecError, DatasetFormatError, TrainingError
+                     example_rng, format_context, load_dataset, sample_contexts,
+                     write_dataset)
+from .errors import CodevecError, TrainingError
 from .metrics import evaluate
 from .minij import parse_methods
 from .model import (MAX_SLOTS, AttentionVariant, forward, load_model, predict_topk,
                     save_model)
-from .paths import ExtractionLimits, path_to_string
+from .paths import ExtractionLimits
 from .pipeline import method_to_example
 from .training import TrainConfig, train
 from .vectors import NameVectorTable
@@ -102,8 +103,6 @@ def cmd_extract(args) -> int:
 def cmd_train(args) -> int:
     train_set = load_dataset(args.train)
     val_set = load_dataset(args.val) if args.val else train_set
-    if args.val and not val_set:
-        raise DatasetFormatError(f"{args.val}: empty validation set")
     vocabs = build_vocabs(train_set, args.max_values, args.max_paths, args.max_tags)
     config = TrainConfig(
         learning_rate=args.lr, batch_size=args.batch, max_epochs=args.epochs,
@@ -148,8 +147,7 @@ def _print_attention(params, example, encoded) -> None:
         alpha = alpha.mean(axis=1)
     # Slot i holds context i: `example` holds only the contexts that fill the slots.
     for weight, ctx in sorted(zip(alpha, example.contexts), key=lambda pair: -pair[0]):
-        print(f"  {weight:.4f} {ctx.source_value},{path_to_string(ctx.path)},"
-              f"{ctx.target_value}")
+        print(f"  {weight:.4f} {format_context(ctx)}")
 
 
 def cmd_eval(args) -> int:

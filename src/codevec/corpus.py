@@ -121,16 +121,12 @@ def build_vocabs(examples: Iterable[RawExample], max_values: int = 50_000,
     value_counts: Counter = Counter()
     path_counts: Counter = Counter()
     tag_counts: Counter = Counter()
-    seen = False
     for example in examples:
-        seen = True
         tag_counts[example.label] += 1
         for ctx in example.contexts:
             value_counts[ctx.source_value] += 1
             value_counts[ctx.target_value] += 1
             path_counts[path_to_string(ctx.path)] += 1
-    if not seen:
-        raise DatasetFormatError("empty dataset")
     return Vocabs(
         values=Vocab(_top_entries(value_counts, max_values)),
         paths=Vocab(_top_entries(path_counts, max_paths)),
@@ -192,11 +188,12 @@ def encode_dataset(examples: list[RawExample], vocabs: Vocabs, k_max: int,
 # One example per line: `<label> <ctx> <ctx> ...`, each <ctx> being
 # `<source>,<pathstring>,<target>`. Empty-context examples are a bare label.
 
+def format_context(ctx: PathContext) -> str:
+    return f"{ctx.source_value},{path_to_string(ctx.path)},{ctx.target_value}"
+
+
 def format_example(example: RawExample) -> str:
-    parts = [example.label]
-    for ctx in example.contexts:
-        parts.append(f"{ctx.source_value},{path_to_string(ctx.path)},{ctx.target_value}")
-    return " ".join(parts)
+    return " ".join([example.label, *map(format_context, example.contexts)])
 
 
 def parse_example(line: str, lineno: int = 0) -> RawExample:
@@ -227,11 +224,18 @@ def read_dataset(stream: Iterable[str]) -> Iterator[RawExample]:
 
 
 def load_dataset(path: str) -> list[RawExample]:
+    """Every example of a dataset file. Each fault, a file without
+    examples included, is a DatasetFormatError that starts with the path."""
     with open(path, encoding="utf-8") as handle:
         try:
-            return list(read_dataset(handle))
+            examples = list(read_dataset(handle))
         except UnicodeDecodeError as exc:
             raise DatasetFormatError(f"{path}: not UTF-8 text: {exc}") from None
+        except DatasetFormatError as exc:
+            raise DatasetFormatError(f"{path}: {exc}") from None
+    if not examples:
+        raise DatasetFormatError(f"{path}: no examples")
+    return examples
 
 
 # --- vocabulary block format (embedded in the model file) --------------------

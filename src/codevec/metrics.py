@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import EncodedExample, RawExample, Vocabs, encode_dataset, split_subtokens
-from .errors import DatasetFormatError
 from .model import ModelParams, forward
 
 UNK_SUBTOKEN = "unk"
@@ -96,8 +95,6 @@ def evaluate(params: ModelParams, dataset: list[RawExample], vocabs: Vocabs,
     """Evaluate a trained model over a raw dataset, encoded with the
     model's ablation (deterministic: context subsampling uses per-example
     seeded generators); see `evaluate_encoded` for `per_example`."""
-    if not dataset:
-        raise DatasetFormatError("empty dataset")
     encoded = encode_dataset(dataset, vocabs, params.dims.k_max, seed, params.ablation)
     return evaluate_encoded(params, encoded, [raw.label for raw in dataset],
                             vocabs, per_example)

@@ -88,7 +88,7 @@ class ForwardTrace:
     combined: np.ndarray          # (k, dc)
     alpha: np.ndarray
     code_vector: np.ndarray       # (dc,)
-    logits: np.ndarray            # (|Y|,), the scores q is the softmax of
+    log_q: np.ndarray             # (|Y|,), log q; log_q[PAD] == -inf
     q: np.ndarray                 # (|Y|,), q[PAD] == 0
     mask: np.ndarray              # (k,)
     attention_kind: str           # 'soft' | 'uniform' | 'hard' | 'elementwise'
@@ -206,14 +206,18 @@ def forward(params: ModelParams, example: EncodedExample, mode: str = "infer",
     else:
         code_vector = (alpha[..., None, :] @ combined)[..., 0, :]
 
-    logits = code_vector @ params.tags_vocab.T
-    # PAD is never a real label: q[PAD] == 0.
-    q = _masked_softmax(logits, np.arange(logits.shape[-1]) != PAD_ID, axis=-1)
+    # PAD is never a real label: q[PAD] == 0 and log_q[PAD] == -inf.
+    shifted = code_vector @ params.tags_vocab.T
+    shifted[..., PAD_ID] = -np.inf
+    shifted -= shifted.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    total = exp.sum(axis=-1, keepdims=True)
+    q = exp / total
     if mode == "infer" and not np.isfinite(q).all():
         raise TrainingError("non-finite scores")
 
-    return ForwardTrace(contexts, scale, combined, alpha, code_vector, logits, q, mask,
-                        kind)
+    return ForwardTrace(contexts, scale, combined, alpha, code_vector,
+                        shifted - np.log(total), q, mask, kind)
 
 
 def top_k(scores: np.ndarray, k: int,

@@ -10,7 +10,7 @@ import numpy as np
 
 from .corpus import (ABLATIONS, PAD_ID, AblationMask, RawExample, Vocabs,
                      EncodedExample, encode_dataset, stack_examples)
-from .errors import TrainingError
+from .errors import DatasetFormatError, TrainingError
 from .metrics import evaluate_encoded
 from .model import (AttentionVariant, ForwardTrace, ModelDims, ModelParams,
                     check_single_precision, forward, init_params)
@@ -26,20 +26,10 @@ ADAM_EPSILON = 1e-8
 
 
 def loss(trace: ForwardTrace, label_id) -> float | np.ndarray:
-    """Negative log-likelihood of the true label under the predicted
-    distribution; one per example for a stacked batch. It is -log q[label]
-    where q[label] is a normal float; where q[label] underflows, it is
-    log-sum-exp over the real tags' logits minus the label's logit, which
-    stays finite however far the label trails."""
-    label = np.expand_dims(label_id, -1)
-    q = np.take_along_axis(trace.q, label, axis=-1)[..., 0]
-    tiny = np.finfo(q.dtype).tiny
-    real = np.arange(trace.logits.shape[-1]) != PAD_ID
-    shifted = np.where(real, trace.logits, -np.inf)
-    shifted -= shifted.max(axis=-1, keepdims=True)
-    log_sum = np.log(np.exp(shifted).sum(axis=-1))
-    return np.where(q >= tiny, -np.log(np.maximum(q, tiny)),
-                    log_sum - np.take_along_axis(shifted, label, axis=-1)[..., 0])
+    """Negative log-likelihood of the true label, -log q[label], read from
+    the trace's log q; one per example for a stacked batch. It stays
+    finite where q[label] underflows."""
+    return -np.take_along_axis(trace.log_q, np.expand_dims(label_id, -1), -1)[..., 0]
 
 
 @dataclass
@@ -92,7 +82,6 @@ def backward(params: ModelParams, example: EncodedExample, trace: ForwardTrace,
     # softmax + NLL
     dz = trace.q.copy()
     dz -= np.arange(dz.shape[-1]) == np.expand_dims(label_id, -1)
-    dz[..., PAD_ID] = 0.0  # PAD is excluded from the tag softmax
     g["tags_vocab"] = _flat(dz).T @ _flat(trace.code_vector)
     d_code = dz @ params.tags_vocab
 
@@ -221,8 +210,9 @@ def train(train_set: list[RawExample], val_set: list[RawExample], vocabs: Vocabs
     `log` is called with each epoch's log line; `checkpoint` with
     (epoch, params) after each epoch.
     """
-    if not train_set:
-        raise TrainingError("empty training set")
+    for name, dataset in (("training", train_set), ("validation", val_set)):
+        if not dataset:
+            raise DatasetFormatError(f"empty {name} set")
     dims = ModelDims(config.dim, len(vocabs.values), len(vocabs.paths),
                      len(vocabs.tags), config.k_max)
     params = init_params(dims, config.variant, config.seed, config.ablation)

@@ -28,7 +28,7 @@ from codevec.vectors import NameVectorTable, sum_of_cosines_ranking
 
 from conftest import (as_float64, dense_gradients, oracle_path_contexts,
                       random_ast, random_encoded, toy_minij_corpus)
-from test_training import finite_difference, max_relative_error
+from test_training import gradient_failures
 
 TANH_VARIANTS = [AttentionVariant.SOFT, AttentionVariant.NO_ATTENTION,
                  AttentionVariant.HARD, AttentionVariant.TRAIN_SOFT_PREDICT_HARD,
@@ -133,7 +133,7 @@ def test_gradient_check():
     dims = ModelDims(d=3, num_values=6, num_paths=5, num_tags=4, k_max=4)
     variants = [AttentionVariant.SOFT, AttentionVariant.NO_ATTENTION,
                 AttentionVariant.ELEMENT_WISE, AttentionVariant.SOFT_NO_FC]
-    worst = 0.0
+    failures = []
     for variant in variants:
         for trial in range(10):
             params = as_float64(init_params(dims, variant, 300 + trial))
@@ -141,10 +141,9 @@ def test_gradient_check():
             trace = forward(params, example)
             grads = dense_gradients(
                 params, backward(params, example, trace, example.label_id))
-            for name in params.groups():
-                fd = finite_difference(params, example, example.label_id, name)
-                worst = max(worst, max_relative_error(grads[name], fd))
-    assert worst < 1e-4
+            failures += [f"{variant.value} trial {trial}: {failure}" for failure in
+                         gradient_failures(params, example, example.label_id, grads, rng)]
+    assert not failures
     assert time.monotonic() - start < 60
 
 

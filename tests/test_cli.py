@@ -377,8 +377,29 @@ class TestTrainPredictEval:
                      "-o", str(out), "--dim", "8", "--kmax", "20",
                      "--epochs", "2"]) == 2
         err = capsys.readouterr().err
-        assert f"{empty}: empty validation set" in err
+        assert err.startswith(f"codevec: {empty}: no examples")
         assert "epoch=" not in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,fault", [
+        ("train", "empty"), ("eval", "empty"),
+        ("eval", "malformed"), ("train --val", "malformed")])
+    def test_dataset_fault_names_its_file(self, command, fault, dataset_file,
+                                          model_file, tmp_path, capsys):
+        bad = tmp_path / f"{fault}.c2v"
+        bad.write_text("\n\n" if fault == "empty" else "getX x,NameExpr^Return\n",
+                       encoding="utf-8")
+        out = tmp_path / "m.bin"
+        argv = {"train": ["train", "--train", str(bad)],
+                "train --val": ["train", "--train", str(dataset_file), "--val", str(bad)],
+                "eval": ["eval", "--model", str(model_file), str(bad)]}[command]
+        if command != "eval":
+            argv += ["-o", str(out), "--dim", "8", "--kmax", "20", "--epochs", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        message = "no examples" if fault == "empty" else "line 1: malformed context"
+        assert captured.err.startswith(f"codevec: {bad}: {message}")
+        assert "Traceback" not in captured.err and captured.out == ""
         assert not out.exists()
 
     def test_non_finite_model_is_data_error(self, model_file, corpus_file,

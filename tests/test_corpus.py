@@ -65,10 +65,6 @@ class TestBuildVocabs:
         assert set("abcd") <= set(vocabs.values.entries)
         assert {"A^M_B", "C^M_D"} <= set(vocabs.paths.entries)
 
-    def test_empty_dataset(self):
-        with pytest.raises(DatasetFormatError):
-            build_vocabs([])
-
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         examples = [
@@ -194,6 +190,20 @@ class TestDatasetFormat:
         path = tmp_path / "bad.c2v"
         path.write_bytes(b"getX x,NameExpr^Return,y\nget\xff\n")
         with pytest.raises(DatasetFormatError, match="bad.c2v: not UTF-8"):
+            load_dataset(str(path))
+
+    def test_empty_file_names_path(self, tmp_path):
+        for text in ("", "\n\n"):
+            path = tmp_path / "empty.c2v"
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(DatasetFormatError, match=r"empty\.c2v: no examples$"):
+                load_dataset(str(path))
+
+    def test_malformed_line_names_path(self, tmp_path):
+        path = tmp_path / "bad.c2v"
+        path.write_text("getX x,NameExpr^Return,y\n\ngetY y,Return\n", encoding="utf-8")
+        with pytest.raises(DatasetFormatError,
+                           match=r"bad\.c2v: line 3: malformed context 'y,Return'$"):
             load_dataset(str(path))
 
     def test_bare_label_round_trips(self):

@@ -4,7 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from codevec.corpus import RawExample, build_vocabs, encode_example, example_rng
-from codevec.errors import DatasetFormatError
 from codevec.metrics import Metrics, evaluate, evaluate_encoded, score_pair
 from codevec.minij import parse_methods
 
@@ -150,8 +149,3 @@ class TestEvaluate:
         unseen = [RawExample("neverSeenTag", fitted[1][0].contexts)]
         metrics = evaluate(params, unseen, vocabs)
         assert metrics.tp == 0
-
-    def test_empty_dataset_raises(self, fitted):
-        params, _, vocabs = fitted
-        with pytest.raises(DatasetFormatError):
-            evaluate(params, [], vocabs)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from codevec.corpus import (ABLATIONS, PAD_ID, AblationMask, EncodedExample,
-                            RawExample, build_vocabs, encode_example, example_rng)
+                            RawExample, build_vocabs, encode_example, example_rng,
+                            stack_examples)
 from codevec.errors import ModelFormatError, TrainingError
 from codevec.model import (MAX_SLOTS, AttentionVariant, ModelDims, ModelParams,
                            forward, init_params, load_model, predict_topk,
@@ -113,14 +114,18 @@ class TestForward:
         rng = np.random.default_rng(1)
         for variant in AttentionVariant:
             params = as_float64(init_params(DIMS, variant, 5))
-            for _ in range(30):
-                example = random_encoded(rng, DIMS)
+            examples = [random_encoded(rng, DIMS) for _ in range(30)]
+            batch = forward(params, stack_examples(examples))
+            assert (batch.q[:, PAD_ID] == 0.0).all()
+            assert (batch.log_q[:, PAD_ID] == -np.inf).all()
+            for example in examples:
                 trace = forward(params, example)
                 assert trace.alpha.sum(axis=0) == pytest.approx(
                     np.ones(()) if trace.alpha.ndim == 1 else np.ones(DIMS.d),
                     abs=1e-9)
                 assert trace.q.sum() == pytest.approx(1.0, abs=1e-9)
-                assert trace.q[PAD_ID] == 0.0
+                assert trace.q[PAD_ID] == 0.0 and trace.log_q[PAD_ID] == -np.inf
+                assert np.abs(np.exp(trace.log_q) - trace.q).max() <= 1e-15
                 assert (trace.alpha[~example.mask.astype(bool)] == 0).all()
                 assert (np.abs(trace.combined) < 1.0).all() or \
                     variant is AttentionVariant.SOFT_NO_FC
