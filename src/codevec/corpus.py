@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, TextIO
 import numpy as np
 
 from .errors import DatasetFormatError
-from .paths import PathContext, path_from_string, path_to_string
+from .paths import AstPath, PathContext, path_from_string
 
 PAD_ID = 0
 UNK_ID = 1
@@ -126,7 +126,7 @@ def build_vocabs(examples: Iterable[RawExample], max_values: int = 50_000,
         for ctx in example.contexts:
             value_counts[ctx.source_value] += 1
             value_counts[ctx.target_value] += 1
-            path_counts[path_to_string(ctx.path)] += 1
+            path_counts[ctx.path.text] += 1
     return Vocabs(
         values=Vocab(_top_entries(value_counts, max_values)),
         paths=Vocab(_top_entries(path_counts, max_paths)),
@@ -148,7 +148,7 @@ def sample_contexts(contexts: list[PathContext], k_max: int,
     if len(contexts) <= k_max:
         return contexts
     keep = rng.choice(len(contexts), size=k_max, replace=False)
-    return [contexts[i] for i in sorted(keep)]
+    return [contexts[i] for i in np.sort(keep).tolist()]
 
 
 def encode_example(raw: RawExample, vocabs: Vocabs, k_max: int,
@@ -163,15 +163,14 @@ def encode_example(raw: RawExample, vocabs: Vocabs, k_max: int,
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     contexts = sample_contexts(raw.contexts, k_max, rng)
-    sources = np.full(k_max, PAD_ID, dtype=np.int64)
-    paths = np.full(k_max, PAD_ID, dtype=np.int64)
-    targets = np.full(k_max, PAD_ID, dtype=np.int64)
+    n = len(contexts)
+    value_id, path_id = vocabs.values.id_of, vocabs.paths.id_of
+    sources, paths, targets = (np.full(k_max, PAD_ID, dtype=np.int64) for _ in range(3))
+    sources[:n] = UNK_ID if ablation.hide_source else [value_id(c.source_value) for c in contexts]
+    paths[:n] = UNK_ID if ablation.hide_path else [path_id(c.path.text) for c in contexts]
+    targets[:n] = UNK_ID if ablation.hide_target else [value_id(c.target_value) for c in contexts]
     mask = np.zeros(k_max, dtype=np.float64)
-    for i, ctx in enumerate(contexts):
-        sources[i] = UNK_ID if ablation.hide_source else vocabs.values.id_of(ctx.source_value)
-        paths[i] = UNK_ID if ablation.hide_path else vocabs.paths.id_of(path_to_string(ctx.path))
-        targets[i] = UNK_ID if ablation.hide_target else vocabs.values.id_of(ctx.target_value)
-        mask[i] = 1.0
+    mask[:n] = 1.0
     return EncodedExample(vocabs.tags.id_of(raw.label), sources, paths, targets, mask)
 
 
@@ -189,14 +188,18 @@ def encode_dataset(examples: list[RawExample], vocabs: Vocabs, k_max: int,
 # `<source>,<pathstring>,<target>`. Empty-context examples are a bare label.
 
 def format_context(ctx: PathContext) -> str:
-    return f"{ctx.source_value},{path_to_string(ctx.path)},{ctx.target_value}"
+    return f"{ctx.source_value},{ctx.path.text},{ctx.target_value}"
 
 
 def format_example(example: RawExample) -> str:
     return " ".join([example.label, *map(format_context, example.contexts)])
 
 
-def parse_example(line: str, lineno: int = 0) -> RawExample:
+def parse_example(line: str, lineno: int = 0,
+                  paths: dict[str, AstPath] | None = None) -> RawExample:
+    """One dataset line. `paths` maps each path string read so far to its
+    AstPath, so that repeats share one object."""
+    paths = {} if paths is None else paths
     fields = line.split(" ")
     label = fields[0]
     if not label:
@@ -206,7 +209,13 @@ def parse_example(line: str, lineno: int = 0) -> RawExample:
         pieces = chunk.split(",")
         if len(pieces) != 3 or not all(pieces):
             raise DatasetFormatError(f"line {lineno}: malformed context {chunk!r}")
-        contexts.append(PathContext(pieces[0], path_from_string(pieces[1]), pieces[2]))
+        path = paths.get(pieces[1])
+        if path is None:
+            try:
+                path = paths[pieces[1]] = path_from_string(pieces[1])
+            except DatasetFormatError as exc:
+                raise DatasetFormatError(f"line {lineno}: {exc}") from None
+        contexts.append(PathContext(pieces[0], path, pieces[2]))
     return RawExample(label, contexts)
 
 
@@ -216,11 +225,14 @@ def write_dataset(examples: Iterable[RawExample], stream: TextIO) -> None:
 
 
 def read_dataset(stream: Iterable[str]) -> Iterator[RawExample]:
+    """The stream's examples. Within one read, each distinct path string is
+    parsed once and its AstPath shared."""
+    paths: dict[str, AstPath] = {}
     for lineno, line in enumerate(stream, start=1):
         line = line.rstrip("\n")
         if not line:
             continue
-        yield parse_example(line, lineno)
+        yield parse_example(line, lineno, paths)
 
 
 def load_dataset(path: str) -> list[RawExample]:

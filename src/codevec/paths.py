@@ -6,7 +6,7 @@ pivot (the lowest common ancestor) and then descends to the end terminal.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .ast_tree import Ast, normalize_value
 from .errors import DatasetFormatError
@@ -21,17 +21,24 @@ class AstPath:
 
     len(kinds) == len(directions) + 1; directions form a run of ups
     followed by a run of downs. Path length is the number of steps
-    (len(directions)), following the step-indexed definition.
+    (len(directions)), following the step-indexed definition. `text` is
+    the path string, rendered once: kinds joined by '^' (up) and '_' (down).
     """
 
     kinds: tuple[str, ...]
     directions: tuple[str, ...]
+    text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.kinds) != len(self.directions) + 1:
             raise ValueError("kinds/directions length mismatch")
         if not self.directions:
             raise ValueError("path must have at least one step")
+        parts = [self.kinds[0]]
+        for direction, kind in zip(self.directions, self.kinds[1:]):
+            parts.append("^" if direction == UP else "_")
+            parts.append(kind)
+        object.__setattr__(self, "text", "".join(parts))
 
 
 @dataclass(frozen=True)
@@ -109,12 +116,8 @@ _PATH_SPLIT_RE = re.compile(r"([\^_])")
 
 
 def path_to_string(path: AstPath) -> str:
-    """Render kinds joined by '^' (up) and '_' (down)."""
-    parts = [path.kinds[0]]
-    for direction, kind in zip(path.directions, path.kinds[1:]):
-        parts.append("^" if direction == UP else "_")
-        parts.append(kind)
-    return "".join(parts)
+    """Kinds joined by '^' (up) and '_' (down): the path's `text`."""
+    return path.text
 
 
 def path_from_string(text: str) -> AstPath:

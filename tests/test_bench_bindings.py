@@ -1,8 +1,10 @@
 """The benchmark times layers by rebinding names in `src/` (perfbench/spans.py).
 A binding that no longer resolves drops its span from a traced run, so every
 span name must keep at least one live binding, and every probed function
-the parameters its probe reads."""
+the parameters its probe reads. Every other name the benchmark takes from
+`codevec` must resolve too, or the benchmark stops at its first use."""
 
+import ast
 import importlib
 import inspect
 import sys
@@ -59,3 +61,52 @@ def test_probed_functions_keep_the_parameters_their_probes_read(spans):
             f"{module}.{attr}")
         checked.add(name)
     assert checked == set(PROBED_PARAMETERS)
+
+
+def codevec_references(source: str) -> set[tuple[str, str]]:
+    """(module, dotted name) of each name a perfbench file imports from
+    codevec, and of each attribute chain it reads from such a name."""
+    tree = ast.parse(source)
+    imported = {}  # local name -> (module, name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("codevec"):
+            for alias in node.names:
+                imported[alias.asname or alias.name] = (node.module, alias.name)
+    found = set(imported.values())
+    for node in ast.walk(tree):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id in imported:
+            module, name = imported[node.id]
+            found.add((module, ".".join([name, *reversed(parts)])))
+    return found
+
+
+def resolves(module_name: str, dotted: str) -> bool:
+    """Whether `from module_name import dotted` (with attribute access past
+    its first part) would find the name, importing submodules as Python does."""
+    obj = importlib.import_module(module_name)
+    for part in dotted.split("."):
+        if inspect.ismodule(obj) and not hasattr(obj, part):
+            try:
+                importlib.import_module(f"{obj.__name__}.{part}")
+            except ModuleNotFoundError:
+                return False
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_every_name_perfbench_takes_from_codevec_resolves():
+    references = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        references |= {(path.name, *ref)
+                       for ref in codevec_references(path.read_text(encoding="utf-8"))}
+    names = {dotted for _, _, dotted in references}
+    assert {"path_to_string", "AstPath", "PathContext", "RawExample", "format_vocabs",
+            "normalize_value", "PAD_ID", "UNK_ID", "corpus.read_dataset",
+            "model.forward"} <= names
+    assert [ref for ref in sorted(references) if not resolves(*ref[1:])] == []

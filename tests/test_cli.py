@@ -402,6 +402,14 @@ class TestTrainPredictEval:
         assert "Traceback" not in captured.err and captured.out == ""
         assert not out.exists()
 
+    def test_malformed_path_names_its_line(self, model_file, tmp_path, capsys):
+        bad = tmp_path / "bad.c2v"
+        bad.write_text("getX x,NameExpr^Return,y\ngetY y,Return,z\n", encoding="utf-8")
+        assert main(["eval", "--model", str(model_file), str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"codevec: {bad}: line 2: malformed path string 'Return'\n"
+        assert captured.out == ""
+
     def test_non_finite_model_is_data_error(self, model_file, corpus_file,
                                             tmp_path, capsys):
         params, vocabs = load_model(str(model_file))

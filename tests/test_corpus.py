@@ -206,6 +206,29 @@ class TestDatasetFormat:
                            match=r"bad\.c2v: line 3: malformed context 'y,Return'$"):
             load_dataset(str(path))
 
+    def test_malformed_path_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.c2v"
+        path.write_text("getX x,NameExpr^Return,y\ngetY y,Return,z y,Return,w\n",
+                        encoding="utf-8")
+        with pytest.raises(DatasetFormatError,
+                           match=r"bad\.c2v: line 2: malformed path string 'Return'$"):
+            load_dataset(str(path))
+        with pytest.raises(DatasetFormatError, match=r"^line 4: malformed path string"):
+            parse_example("f x,A,7", lineno=4)
+
+    def test_one_path_object_per_distinct_path_string(self):
+        lines = ["f x,A^M_B,7 y,A^M_B,8 z,A_M^B,9", "g x,A^M_B,7", "h",
+                 "k x,A_M^B,9 y,B^M_A,7"]
+        examples = list(read_dataset(io.StringIO("\n".join(lines) + "\n")))
+        by_text = {}
+        for ctx in (c for example in examples for c in example.contexts):
+            assert by_text.setdefault(ctx.path.text, ctx.path) is ctx.path
+        assert sorted(by_text) == ["A^M_B", "A_M^B", "B^M_A"]
+        # The memo lives for one read only.
+        (again,) = read_dataset(io.StringIO(lines[1]))
+        assert again.contexts[0].path == by_text["A^M_B"]
+        assert again.contexts[0].path is not by_text["A^M_B"]
+
     def test_bare_label_round_trips(self):
         raw = RawExample("lonely", [])
         assert parse_example(format_example(raw)) == raw

@@ -243,6 +243,29 @@ class TestPathStrings:
         with pytest.raises(ValueError):
             AstPath(("A", "B"), (UP, DOWN))
 
+    def test_text_plays_no_part_in_equality_hash_or_repr(self):
+        path = AstPath(("Name", "Block", "Name"), (UP, DOWN))
+        other = AstPath(("Name", "Block", "Name"), (UP, DOWN))
+        object.__setattr__(other, "text", "something else")
+        assert path == other and hash(path) == hash(other)
+        assert repr(path) == repr(other) and "text" not in repr(path)
+        assert path != AstPath(("Name", "Block", "Name"), (UP, UP))
+
+    @given(st.lists(st.sampled_from(TERMINAL_KINDS + NONTERMINAL_KINDS),
+                    min_size=2, max_size=10), st.data())
+    @settings(max_examples=200)
+    def test_text_is_the_rendering_for_any_directions(self, kinds, data):
+        # Any direction sequence, down-then-up included, not only the
+        # ups-then-downs that extraction emits.
+        directions = tuple(data.draw(st.lists(st.sampled_from([UP, DOWN]),
+                                              min_size=len(kinds) - 1,
+                                              max_size=len(kinds) - 1)))
+        path = AstPath(tuple(kinds), directions)
+        rendered = kinds[0] + "".join(("^" if d == UP else "_") + k
+                                      for d, k in zip(directions, kinds[1:]))
+        assert path.text == path_to_string(path) == rendered
+        assert path_from_string(path.text) == path
+
 
 @st.composite
 def paths(draw):
