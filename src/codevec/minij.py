@@ -2,12 +2,20 @@
 expression language. It covers method declarations, var declarations,
 assignments, if/while, foreach (`for (type name : expr)`), return, calls,
 field and array access, and the usual boolean/arithmetic operators.
+
+Tokens: an integer literal is a run of decimal digits (`\\d`); an
+identifier is a run of word characters (`\\w`) that does not start with a
+decimal digit, so a numeric character that is not a decimal digit, such
+as `²` or `½`, is an identifier character; a string literal runs from `"`
+to the next unescaped `"` and may span lines. Only spaces, tabs, CR and
+LF separate tokens.
 """
 
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ast_tree import Ast, AstBuilder
 from .errors import MiniJSyntaxError
@@ -15,82 +23,61 @@ from .errors import MiniJSyntaxError
 KEYWORDS = {"if", "else", "while", "for", "return", "true", "false"}
 
 # Deepest nesting of parenthesised, call and index expressions, unary
-# operators and statement bodies. A level costs the parser up to 10 stack
-# frames, so this stays well inside Python's default limit of 1000.
+# operators and statement bodies. A level costs the parser at most 4 stack
+# frames (parentheses, calls and if blocks 4; indexing 3; loop bodies 2;
+# unary operators 1), so this stays well inside Python's default limit of
+# 1000.
 MAX_NESTING = 64
 
-_PUNCT = [
-    "==", "!=", "<=", ">=", "&&", "||",
-    "(", ")", "{", "}", "[", "]", ";", ",", ":", ".",
-    "=", "<", ">", "+", "-", "*", "/", "!",
-]
+# One alternative per token kind, tried in order; `bad` catches any
+# character that starts no token, an unterminated string's `"` included.
+_TOKEN = re.compile(r"""
+    (?P<space>[ \t\r\n]+)
+  | "(?P<string>(?:[^"\\]|\\.)*)"
+  | (?P<int>\d+)
+  | (?P<ident>[^\W\d]\w*)
+  | (?P<punct>==|!=|<=|>=|&&|\|\||[(){}\[\];,:.=<>+\-*/!])
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
+
+# Binary operators by strength; all are left-associative.
+_BINARY = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 4, ">": 4, "<=": 4, ">=": 4,
+           "+": 5, "-": 5, "*": 6, "/": 6}
 
 
-@dataclass
-class Token:
+class Token(NamedTuple):
     kind: str  # 'ident', 'int', 'string', 'punct', 'eof'
-    text: str
-    line: int
-    col: int
+    text: str  # a string's text is what lies between its quotes
+    offset: int  # where the token starts in the source
+
+
+def _syntax_error(source: str, offset: int, message: str) -> MiniJSyntaxError:
+    line = source.count("\n", 0, offset) + 1
+    return MiniJSyntaxError(message, line, offset - source.rfind("\n", 0, offset))
 
 
 def _lex(source: str) -> list[Token]:
     tokens = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        if kind == "space":
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and source[j] != '"':
-                j += 2 if source[j] == "\\" else 1
-            if j >= n:
-                raise MiniJSyntaxError("unterminated string literal", line, col)
-            tokens.append(Token("string", source[i + 1:j], line, col))
-            newlines = source.count("\n", i, j)
-            line += newlines
-            col = j + 1 - source.rfind("\n", i, j) if newlines else col + j + 1 - i
-            i = j + 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(Token("int", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for punct in _PUNCT:
-            if source.startswith(punct, i):
-                tokens.append(Token("punct", punct, line, col))
-                i += len(punct)
-                col += len(punct)
-                break
-        else:
-            raise MiniJSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+        if kind == "bad":
+            ch = match.group()
+            raise _syntax_error(source, match.start(), "unterminated string literal"
+                                if ch == '"' else f"unexpected character {ch!r}")
+        tokens.append(Token(kind, match.group(kind), match.start()))
+    tokens.append(Token("eof", "", len(source)))
     return tokens
+
+
+def _is_name(tok: Token) -> bool:
+    return tok.kind == "ident" and tok.text not in KEYWORDS
 
 
 class _Parser:
     def __init__(self, source: str):
+        self.source = source
         self.tokens = _lex(source)
         self.pos = 0
         self.depth = 0
@@ -98,11 +85,11 @@ class _Parser:
 
     # -- token helpers ----------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def peek(self, ahead: int = 0) -> Token:
+        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
 
-    def at_punct(self, text: str, offset: int = 0) -> bool:
-        tok = self.peek(offset)
+    def at_punct(self, text: str, ahead: int = 0) -> bool:
+        tok = self.peek(ahead)
         return tok.kind == "punct" and tok.text == text
 
     def at_keyword(self, word: str) -> bool:
@@ -116,22 +103,18 @@ class _Parser:
         return tok
 
     def expect_punct(self, text: str) -> Token:
-        tok = self.peek()
         if not self.at_punct(text):
-            raise MiniJSyntaxError(f"expected {text!r}, found {tok.text or 'end of input'!r}",
-                                   tok.line, tok.col)
+            raise self.error(f"expected {text!r}, found {self.peek().text or 'end of input'!r}")
         return self.advance()
 
     def expect_name(self, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text in KEYWORDS:
-            raise MiniJSyntaxError(f"expected {what}, found {tok.text or 'end of input'!r}",
-                                   tok.line, tok.col)
+        if not _is_name(self.peek()):
+            raise self.error(f"expected {what}, found {self.peek().text or 'end of input'!r}")
         return self.advance()
 
-    def error(self, message: str) -> MiniJSyntaxError:
-        tok = self.peek()
-        return MiniJSyntaxError(message, tok.line, tok.col)
+    def error(self, message: str, tok: Token | None = None) -> MiniJSyntaxError:
+        """A syntax error at `tok`, by default the current token."""
+        return _syntax_error(self.source, (tok or self.peek()).offset, message)
 
     @contextmanager
     def nested(self):
@@ -144,44 +127,55 @@ class _Parser:
         finally:
             self.depth -= 1
 
+    def parenthesised_list(self, parse_item) -> list[int]:
+        """`parse_item()` for each comma-separated item up to a closing
+        ')', which it consumes; the '(' is already consumed."""
+        items = []
+        if not self.at_punct(")"):
+            items.append(parse_item())
+            while self.at_punct(","):
+                self.advance()
+                items.append(parse_item())
+        self.expect_punct(")")
+        return items
+
+    def keyword_condition(self) -> int:
+        """`keyword ( expression )`: the keyword is the current token."""
+        self.advance()
+        self.expect_punct("(")
+        cond = self.parse_expression()
+        self.expect_punct(")")
+        return cond
+
     # -- grammar ----------------------------------------------------------
 
     def at_method_decl(self) -> bool:
         # type name '(' -- possibly with a '[]' after the type
-        if self.peek().kind != "ident" or self.peek().text in KEYWORDS:
+        if not _is_name(self.peek()):
             return False
-        offset = 1
-        if self.at_punct("[", 1) and self.at_punct("]", 2):
-            offset = 3
-        return (self.peek(offset).kind == "ident"
-                and self.peek(offset).text not in KEYWORDS
-                and self.at_punct("(", offset + 1))
+        ahead = 3 if self.at_punct("[", 1) and self.at_punct("]", 2) else 1
+        return _is_name(self.peek(ahead)) and self.at_punct("(", ahead + 1)
 
     def parse_type(self) -> int:
-        tok = self.expect_name("type name")
-        text = tok.text
+        text = self.expect_name("type name").text
         if self.at_punct("[") and self.at_punct("]", 1):
             self.advance()
             self.advance()
             text += "[]"
         return self.builder.terminal("Type", text)
 
+    def parse_name(self, what: str) -> int:
+        return self.builder.terminal("Name", self.expect_name(what).text)
+
+    def parse_parameter(self) -> int:
+        ptype = self.parse_type()
+        return self.builder.nonterminal("Parameter", [ptype, self.parse_name("parameter name")])
+
     def parse_method(self) -> int:
         ret_type = self.parse_type()
-        name_tok = self.expect_name("method name")
-        name = self.builder.terminal("Name", name_tok.text)
+        name = self.parse_name("method name")
         self.expect_punct("(")
-        params = []
-        if not self.at_punct(")"):
-            while True:
-                ptype = self.parse_type()
-                pname_tok = self.expect_name("parameter name")
-                pname = self.builder.terminal("Name", pname_tok.text)
-                params.append(self.builder.nonterminal("Parameter", [ptype, pname]))
-                if not self.at_punct(","):
-                    break
-                self.advance()
-        self.expect_punct(")")
+        params = self.parenthesised_list(self.parse_parameter)
         body = self.parse_block()
         return self.builder.nonterminal("MethodDecl", [ret_type, name] + params + [body])
 
@@ -209,12 +203,15 @@ class _Parser:
         if self.at_keyword("if"):
             return self.parse_if()
         if self.at_keyword("while"):
-            return self.parse_while()
+            cond = self.keyword_condition()
+            return self.builder.nonterminal("WhileStmt", [cond, self.parse_body()])
         if self.at_keyword("for"):
             return self.parse_foreach()
         if self.at_keyword("return"):
             return self.parse_return()
-        if self._at_var_decl():
+        # a declaration starts `type name` or `type[] name`
+        if _is_name(self.peek()) and (_is_name(self.peek(1)) or (
+                self.at_punct("[", 1) and self.at_punct("]", 2))):
             return self.parse_var_decl()
         expr = self.parse_expression()
         if self.at_punct("="):
@@ -224,18 +221,8 @@ class _Parser:
         self.expect_punct(";")
         return expr
 
-    def _at_var_decl(self) -> bool:
-        if self.peek().kind != "ident" or self.peek().text in KEYWORDS:
-            return False
-        if self.peek(1).kind == "ident" and self.peek(1).text not in KEYWORDS:
-            return True
-        return self.at_punct("[", 1) and self.at_punct("]", 2)
-
     def parse_var_decl(self) -> int:
-        vtype = self.parse_type()
-        name_tok = self.expect_name("variable name")
-        name = self.builder.terminal("Name", name_tok.text)
-        children = [vtype, name]
+        children = [self.parse_type(), self.parse_name("variable name")]
         if self.at_punct("="):
             self.advance()
             children.append(self.parse_expression())
@@ -243,31 +230,17 @@ class _Parser:
         return self.builder.nonterminal("VarDecl", children)
 
     def parse_if(self) -> int:
-        self.advance()  # 'if'
-        self.expect_punct("(")
-        cond = self.parse_expression()
-        self.expect_punct(")")
-        then_body = self.parse_body()
-        children = [cond, then_body]
+        children = [self.keyword_condition(), self.parse_body()]
         if self.at_keyword("else"):
             self.advance()
             children.append(self.parse_body())
         return self.builder.nonterminal("IfStmt", children)
 
-    def parse_while(self) -> int:
-        self.advance()  # 'while'
-        self.expect_punct("(")
-        cond = self.parse_expression()
-        self.expect_punct(")")
-        body = self.parse_body()
-        return self.builder.nonterminal("WhileStmt", [cond, body])
-
     def parse_foreach(self) -> int:
         self.advance()  # 'for'
         self.expect_punct("(")
         vtype = self.parse_type()
-        name_tok = self.expect_name("loop variable name")
-        name = self.builder.terminal("Name", name_tok.text)
+        name = self.parse_name("loop variable name")
         self.expect_punct(":")
         iterable = self.parse_expression()
         self.expect_punct(")")
@@ -277,24 +250,23 @@ class _Parser:
     def parse_return(self) -> int:
         tok = self.advance()  # 'return'
         if self.at_punct(";"):
-            raise MiniJSyntaxError("bare 'return;' is not supported", tok.line, tok.col)
+            raise self.error("bare 'return;' is not supported", tok)
         expr = self.parse_expression()
         self.expect_punct(";")
         return self.builder.nonterminal("Return", [expr])
 
-    # Precedence climbing: || < && < (== !=) < (< > <= >=) < (+ -) < (* /)
-    _BINARY_LEVELS = [["||"], ["&&"], ["==", "!="], ["<", ">", "<=", ">="],
-                      ["+", "-"], ["*", "/"]]
-
-    def parse_expression(self, level: int = 0) -> int:
-        if level == len(self._BINARY_LEVELS):
-            return self.parse_unary()
-        node = self.parse_expression(level + 1)
-        while any(self.at_punct(op) for op in self._BINARY_LEVELS[level]):
+    def parse_expression(self, min_strength: int = 1) -> int:
+        """Precedence climbing over `_BINARY`: operands joined by operators
+        of at least `min_strength`, grouped to the left."""
+        node = self.parse_unary()
+        while True:
+            tok = self.peek()
+            strength = _BINARY.get(tok.text, 0) if tok.kind == "punct" else 0
+            if strength < min_strength:
+                return node
             self.advance()
-            rhs = self.parse_expression(level + 1)
+            rhs = self.parse_expression(strength + 1)
             node = self.builder.nonterminal("BinaryExpr", [node, rhs])
-        return node
 
     def parse_unary(self) -> int:
         if self.at_punct("!") or self.at_punct("-"):
@@ -308,20 +280,12 @@ class _Parser:
         while True:
             if self.at_punct("."):
                 self.advance()
-                field_tok = self.expect_name("field or method name")
-                field = self.builder.terminal("Name", field_tok.text)
+                field = self.parse_name("field or method name")
                 node = self.builder.nonterminal("FieldAccess", [node, field])
             elif self.at_punct("("):
                 with self.nested():
                     self.advance()
-                    args = []
-                    if not self.at_punct(")"):
-                        while True:
-                            args.append(self.parse_expression())
-                            if not self.at_punct(","):
-                                break
-                            self.advance()
-                    self.expect_punct(")")
+                    args = self.parenthesised_list(self.parse_expression)
                 node = self.builder.nonterminal("Call", [node] + args)
             elif self.at_punct("["):
                 with self.nested():
@@ -351,11 +315,10 @@ class _Parser:
                 self.advance()
                 return self.builder.terminal("BooleanExpr", tok.text)
             if tok.text in KEYWORDS:
-                raise MiniJSyntaxError(f"unexpected keyword {tok.text!r}", tok.line, tok.col)
+                raise self.error(f"unexpected keyword {tok.text!r}")
             self.advance()
             return self.builder.terminal("NameExpr", tok.text)
-        raise MiniJSyntaxError(f"unexpected token {tok.text or 'end of input'!r}",
-                               tok.line, tok.col)
+        raise self.error(f"unexpected token {tok.text or 'end of input'!r}")
 
 
 def parse_methods(source: str) -> list[Ast]:

@@ -1,9 +1,13 @@
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codevec.ast_tree import Ast, AstBuilder, AstNode, normalize_value, read_sexpr_asts
 from codevec.errors import MiniJSyntaxError, SExprError
-from codevec.minij import MAX_NESTING, parse_methods
+from codevec.minij import MAX_NESTING, _lex, parse_methods
 from codevec.paths import ExtractionLimits, path_to_string
 from codevec.pipeline import method_to_example
 
@@ -156,6 +160,102 @@ class TestMiniJParser:
         with pytest.raises(MiniJSyntaxError) as err:
             parse_methods(NESTING_SHAPES["parentheses"](MAX_NESTING + 1))
         assert (err.value.line, err.value.column) == (1, len(prefix) + MAX_NESTING + 1)
+
+
+LAYOUT = " \t\r\n"
+PUNCT = {"==", "!=", "<=", ">=", "&&", "||", "(", ")", "{", "}", "[", "]", ";", ",", ":",
+         ".", "=", "<", ">", "+", "-", "*", "/", "!"}
+# ASCII punctuation and layout, quotes and backslashes, word characters, and
+# non-ASCII letters and digits: 'é', '中', the decimal digit '٣', and '²' and
+# '½', which are numeric but not decimal digits.
+LEX_ALPHABET = string.punctuation + LAYOUT + "abcxyz019_" + "é中٣²½"
+# The same without the characters that start no token, so that long runs
+# of tokens lex too.
+TOKEN_ALPHABET = "".join(ch for ch in LEX_ALPHABET if ch not in "#$%'?@^`~|&\\")
+
+
+def lexer_text(alphabet: str):
+    """Characters of `alphabet` mixed with quoted runs of any characters."""
+    quoted = st.text(LEX_ALPHABET, max_size=6).map(lambda body: f'"{body}"')
+    return st.lists(st.sampled_from(alphabet) | quoted, max_size=20).map("".join)
+
+
+def string_body_end(source: str, start: int) -> int:
+    """The offset of the quote that closes the string opened at `start`,
+    or len(source) if it is never closed."""
+    i = start + 1
+    while i < len(source) and source[i] != '"':
+        i += 2 if source[i] == "\\" else 1
+    return min(i, len(source))
+
+
+def is_word(ch: str) -> bool:
+    return ch.isalnum() or ch == "_"
+
+
+class TestMiniJLexer:
+    @given(st.sampled_from([LEX_ALPHABET, TOKEN_ALPHABET]).flatmap(lexer_text))
+    @settings(max_examples=400, deadline=None)
+    def test_tokens_tile_the_source_or_the_error_names_the_first_fault(self, source):
+        try:
+            tokens = _lex(source)
+        except MiniJSyntaxError as err:
+            lines = source.split("\n")
+            assert err.column >= 1
+            ch = lines[err.line - 1][err.column - 1]
+            offset = sum(len(line) + 1 for line in lines[:err.line - 1]) + err.column - 1
+            if ch == '"':
+                assert str(err).endswith(": unterminated string literal")
+                assert string_body_end(source, offset) == len(source)
+            else:
+                assert str(err).endswith(f": unexpected character {ch!r}")
+                assert not (is_word(ch) or ch in LAYOUT
+                            or any(source.startswith(p, offset) for p in PUNCT))
+            _lex(source[:offset])  # everything before the fault lexes
+            return
+        assert tokens[-1] == ("eof", "", len(source))
+        end = 0
+        for tok in tokens[:-1]:
+            assert set(source[end:tok.offset]) <= set(LAYOUT)
+            if tok.kind == "string":
+                end = string_body_end(source, tok.offset)
+                assert source[tok.offset] == '"' and end < len(source)
+                assert source[tok.offset + 1:end] == tok.text
+                end += 1
+            else:
+                end = tok.offset + len(tok.text)
+                assert tok.text and source[tok.offset:end] == tok.text
+            following = source[end:end + 1]
+            if tok.kind == "int":
+                assert tok.text.isdecimal() and not following.isdecimal()
+            elif tok.kind == "ident":
+                assert not tok.text[0].isdecimal() and all(map(is_word, tok.text))
+                assert not (following and is_word(following))
+            elif tok.kind == "punct":
+                assert tok.text in PUNCT and not (following and tok.text + following in PUNCT)
+            else:
+                assert tok.kind == "string"
+        assert set(source[end:]) <= set(LAYOUT)
+
+    @pytest.mark.parametrize("source, tokens", [
+        ("x\u00b2", [("ident", "x\u00b2")]),
+        ("\u00b2x", [("ident", "\u00b2x")]),
+        ("\u00bd", [("ident", "\u00bd")]),
+        ("1\u00b2", [("int", "1"), ("ident", "\u00b2")]),
+        ("1\u00bd2", [("int", "1"), ("ident", "\u00bd2")]),
+        ("\u0663\u0663", [("int", "\u0663\u0663")]),
+        ("\u00e9\u4e2d1", [("ident", "\u00e9\u4e2d1")]),
+    ])
+    def test_numeric_characters_that_are_not_decimal_digits_are_word_characters(
+            self, source, tokens):
+        # '\u00b2' (superscript two) and '\u00bd' (one half) are numeric but
+        # not decimal digits; '\u0663' (Arabic-Indic three) is a decimal digit.
+        assert [(tok.kind, tok.text) for tok in _lex(source)[:-1]] == tokens
+
+    def test_a_name_may_start_with_a_numeric_character(self):
+        (ast,) = parse_methods("int f() { return x\u00b2 + \u00bd; }")
+        assert [(ast.node(t).kind, ast.node(t).value) for t in ast.terminals()][2:] == [
+            ("NameExpr", "x\u00b2"), ("NameExpr", "\u00bd")]
 
 
 class TestSExpr:

@@ -49,6 +49,17 @@ def test_every_span_has_a_live_binding(spans):
     assert {span for _, _, span in spans.BINDINGS} - live == set()
 
 
+def test_the_dead_bindings_are_exactly_the_four_known_ones(spans):
+    # These four share their span name with a live binding, so the test
+    # above cannot see them; a binding that dies later shows up here.
+    dead = {(module, attr) for module, attr, _ in spans.BINDINGS
+            if resolve(module, attr) is None}
+    assert dead == {("codevec.training", "encode_example"),
+                    ("codevec.metrics", "encode_example"),
+                    ("codevec.metrics", "predict_topk"),
+                    ("codevec.training", "Gradients.add_")}
+
+
 def test_probed_functions_keep_the_parameters_their_probes_read(spans):
     assert set(PROBED_PARAMETERS) <= set(spans._PROBES)
     checked = set()

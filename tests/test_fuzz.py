@@ -1,5 +1,5 @@
-"""Bounded fuzz of the readers: S-expression text, dataset lines, the
-vocabulary block and model bytes, each mutated from a small valid input by
+"""Bounded fuzz of the readers: MiniJ text, S-expression text, dataset lines,
+the vocabulary block and model bytes, each mutated from a small valid input by
 truncation, flipped bytes or a spliced-in run of bytes (and, for the model,
 overridden header fields). Each reader returns a result or raises a
 `CodevecError`; through `cli.main`, every run exits with a documented code
@@ -17,7 +17,8 @@ from codevec.ast_tree import read_sexpr_asts
 from codevec.cli import main
 from codevec.corpus import (build_vocabs, format_vocabs, load_dataset,
                             parse_example, parse_vocabs)
-from codevec.errors import CodevecError
+from codevec.errors import CodevecError, MiniJSyntaxError
+from codevec.minij import parse_methods
 from codevec.model import AttentionVariant, ModelDims, init_params, load_model, save_model
 
 SEXPR = ('(MethodDecl (Type "int") (Name "getX") (Block (Return (NameExpr "x"))))\n'
@@ -63,7 +64,8 @@ def files(tmp_path_factory):
     vocabs = build_vocabs(parse_example(line) for line in DATASET.decode().splitlines())
     dims = ModelDims(2, len(vocabs.values), len(vocabs.paths), len(vocabs.tags), 3)
     paths = {name: root / name for name in
-             ("model.bin", "data.c2v", "source.mj", "bad.bin", "bad.c2v", "bad.sexpr")}
+             ("model.bin", "data.c2v", "source.mj", "bad.bin", "bad.c2v", "bad.sexpr",
+              "bad.mj")}
     save_model(str(paths["model.bin"]), init_params(dims, AttentionVariant.SOFT, 0), vocabs)
     paths["data.c2v"].write_bytes(DATASET)
     paths["source.mj"].write_bytes(MINIJ)
@@ -71,12 +73,23 @@ def files(tmp_path_factory):
     return paths
 
 
-def _runs_cleanly(argv) -> None:
+def _runs_cleanly(argv, codes=EXIT_CODES) -> None:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([str(arg) for arg in argv])
-    assert code in EXIT_CODES
+    assert code in codes
     assert "Traceback" not in err.getvalue()
+
+
+@given(data=mutations(MINIJ))
+@settings(max_examples=60, deadline=None)
+def test_minij_text(files, data):
+    # latin-1 maps bytes 0x80-0xff to characters such as '²', '½' and 'é'
+    text = data.decode("latin-1")
+    with contextlib.suppress(MiniJSyntaxError):
+        parse_methods(text)
+    files["bad.mj"].write_text(text, encoding="utf-8")
+    _runs_cleanly(["extract", files["bad.mj"]], codes={0, 2})
 
 
 @given(data=mutations(SEXPR))
