@@ -142,7 +142,7 @@ def example_rng(global_seed: int, ordinal: int, epoch: int = 0) -> np.random.Gen
 
 
 def sample_contexts(contexts: list[PathContext], k_max: int,
-                    rng: np.random.Generator) -> list[PathContext]:
+                    rng: np.random.Generator | None) -> list[PathContext]:
     """The contexts that fill an example's k_max slots: all of them when
     they fit, else k_max drawn without replacement, in their input order."""
     if len(contexts) <= k_max:
@@ -152,10 +152,10 @@ def sample_contexts(contexts: list[PathContext], k_max: int,
 
 
 def encode_example(raw: RawExample, vocabs: Vocabs, k_max: int,
-                   rng: np.random.Generator,
+                   rng: np.random.Generator | None,
                    ablation: AblationMask = ABLATIONS["full"]) -> EncodedExample:
-    """Index a raw example, filling the slots with `sample_contexts` and
-    padding the rest with masked slots.
+    """Index a raw example, filling the slots with `sample_contexts` (`rng`
+    may be None when the contexts fit) and padding the rest with masked slots.
 
     Hidden (ablated) components and out-of-vocabulary components map to
     UNK. An example with zero contexts encodes with an all-zero mask.
@@ -164,11 +164,13 @@ def encode_example(raw: RawExample, vocabs: Vocabs, k_max: int,
         raise ValueError("k_max must be >= 1")
     contexts = sample_contexts(raw.contexts, k_max, rng)
     n = len(contexts)
-    value_id, path_id = vocabs.values.id_of, vocabs.paths.id_of
+    value_id, path_id = vocabs.values._index.get, vocabs.paths._index.get
     sources, paths, targets = (np.full(k_max, PAD_ID, dtype=np.int64) for _ in range(3))
-    sources[:n] = UNK_ID if ablation.hide_source else [value_id(c.source_value) for c in contexts]
-    paths[:n] = UNK_ID if ablation.hide_path else [path_id(c.path.text) for c in contexts]
-    targets[:n] = UNK_ID if ablation.hide_target else [value_id(c.target_value) for c in contexts]
+    sources[:n] = (UNK_ID if ablation.hide_source
+                   else [value_id(c.source_value, UNK_ID) for c in contexts])
+    paths[:n] = UNK_ID if ablation.hide_path else [path_id(c.path.text, UNK_ID) for c in contexts]
+    targets[:n] = (UNK_ID if ablation.hide_target
+                   else [value_id(c.target_value, UNK_ID) for c in contexts])
     mask = np.zeros(k_max, dtype=np.float64)
     mask[:n] = 1.0
     return EncodedExample(vocabs.tags.id_of(raw.label), sources, paths, targets, mask)
@@ -177,8 +179,9 @@ def encode_example(raw: RawExample, vocabs: Vocabs, k_max: int,
 def encode_dataset(examples: list[RawExample], vocabs: Vocabs, k_max: int,
                    seed: int, ablation: AblationMask,
                    epoch: int = 0) -> list[EncodedExample]:
-    """Encode every example with its own `example_rng(seed, i, epoch)`."""
-    return [encode_example(raw, vocabs, k_max, example_rng(seed, i, epoch), ablation)
+    """Encode every example; one longer than k_max samples with `example_rng(seed, i, epoch)`."""
+    return [encode_example(raw, vocabs, k_max, example_rng(seed, i, epoch)
+                           if len(raw.contexts) > k_max else None, ablation)
             for i, raw in enumerate(examples)]
 
 

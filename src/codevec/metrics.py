@@ -6,10 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import EncodedExample, RawExample, Vocabs, encode_dataset, split_subtokens
+from .corpus import (EncodedExample, RawExample, Vocabs, encode_dataset, split_subtokens,
+                     stack_examples)
 from .model import ModelParams, forward
 
 UNK_SUBTOKEN = "unk"
+
+# Examples per `forward` call when evaluating.
+EVAL_BATCH = 32
 
 
 def score_pair(predicted: str, true: str) -> tuple[int, int, int]:
@@ -74,16 +78,20 @@ def evaluate_encoded(params: ModelParams, encoded: list[EncodedExample],
     """Score top-1 predictions for already-encoded examples. Examples with
     no contexts cannot be predicted and count as all-false-negative. The
     top-1 tag is the first maximum of q, so the lowest id wins ties, as in
-    `model.top_k`.
+    `model.top_k`. The others are stacked EVAL_BATCH at a time, in order.
 
     When `per_example` is a list, (true, predicted, tp, fp, fn) tuples are
-    appended to it.
+    appended to it in input order.
     """
+    predictions = [""] * len(encoded)
+    trainable = [i for i, example in enumerate(encoded) if example.trainable]
+    for start in range(0, len(trainable), EVAL_BATCH):
+        chunk = trainable[start:start + EVAL_BATCH]
+        q = forward(params, stack_examples([encoded[i] for i in chunk])).q
+        for i, tag in zip(chunk, np.argmax(q, axis=-1).tolist()):
+            predictions[i] = vocabs.tags.entry(tag)
     metrics = Metrics()
-    for example, label in zip(encoded, labels):
-        predicted = ""
-        if example.trainable:
-            predicted = vocabs.tags.entry(int(np.argmax(forward(params, example).q)))
+    for predicted, label in zip(predictions, labels):
         counts = metrics.add(predicted, label)
         if per_example is not None:
             per_example.append((label, predicted, *counts))

@@ -323,9 +323,9 @@ class _Parser:
 
 def parse_methods(source: str) -> list[Ast]:
     """Parse a file of one or more MiniJ method declarations."""
-    if not source.strip():
-        raise MiniJSyntaxError("empty input", 1, 1)
     parser = _Parser(source)
+    if parser.peek().kind == "eof":  # nothing but the lexer's whitespace
+        raise MiniJSyntaxError("empty input", 1, 1)
     methods = []
     while parser.peek().kind != "eof":
         if not parser.at_method_decl():

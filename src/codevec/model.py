@@ -83,7 +83,7 @@ class ForwardTrace:
     (k,) for scalar attention or (k, d) for element-wise. The shapes are
     those of one example; a stacked batch adds a leading batch axis."""
 
-    context_vectors: np.ndarray   # (k, 3d) after dropout scaling
+    context_vectors: np.ndarray | None  # (k, 3d) after dropout scaling; train mode only
     dropout_scale: np.ndarray | float  # (k, 3d) train-mode dropout multiplier, else 1.0
     combined: np.ndarray          # (k, dc)
     alpha: np.ndarray
@@ -147,6 +147,16 @@ def _attention_kind(variant: AttentionVariant, mode: str) -> str:
     return "soft"
 
 
+def _project(table: np.ndarray, ids: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """table[ids] @ block.T, each distinct id's row multiplied once. Entries
+    are clipped to a third of the largest float, so that a sum of three
+    stays finite (not inf - inf) and tanh of it saturates."""
+    unique, inverse = np.unique(ids, return_inverse=True)
+    product = table[unique] @ block.T
+    limit = np.finfo(product.dtype).max / 3
+    return np.clip(product, -limit, limit, out=product)[inverse]
+
+
 @np.errstate(all="ignore")  # q (infer) or the loss (train) is checked instead
 def forward(params: ModelParams, example: EncodedExample, mode: str = "infer",
             dropout_rate: float = 0.0, rng: np.random.Generator | None = None,
@@ -157,7 +167,9 @@ def forward(params: ModelParams, example: EncodedExample, mode: str = "infer",
 
     In train mode, inverted dropout with the given rate, drawn from `rng`,
     is applied to the context vectors (kept entries scaled by 1/keep).
-    In infer mode a non-finite q raises TrainingError.
+    In infer mode, where W·[x_s; p; x_t] = W_s·x_s + W_p·p + W_t·x_t, each
+    distinct id of the valid slots is projected once through its block of W,
+    the trace holds no context vectors, and a non-finite q raises TrainingError.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -165,25 +177,27 @@ def forward(params: ModelParams, example: EncodedExample, mode: str = "infer",
     valid = mask.astype(bool)
     if not valid.any(axis=-1).all():
         raise ValueError("all slots are masked; nothing to aggregate")
+    columns = ((params.value_vocab, example.sources), (params.path_vocab, example.paths),
+               (params.value_vocab, example.targets))
 
-    contexts = np.concatenate([
-        params.value_vocab[example.sources],
-        params.path_vocab[example.paths],
-        params.value_vocab[example.targets],
-    ], axis=-1) * mask[..., None]
-
-    scale = 1.0
-    if mode == "train" and dropout_rate > 0.0:
-        if rng is None:
-            raise ValueError("train-mode dropout requires an rng")
-        keep = 1.0 - dropout_rate
-        scale = (rng.random(contexts.shape) < keep).astype(contexts.dtype) / keep
-        contexts = contexts * scale
-
-    if params.variant is AttentionVariant.SOFT_NO_FC:
-        combined = contexts
+    contexts, scale = None, 1.0
+    if mode == "infer" and params.W is not None:
+        d = params.dims.d
+        source, path, target = (_project(table, ids[valid], params.W[:, j * d:(j + 1) * d])
+                                for j, (table, ids) in enumerate(columns))
+        combined = np.zeros(valid.shape + (d,), source.dtype)
+        combined[valid] = np.tanh(source + path + target)
     else:
-        combined = np.tanh(contexts @ params.W.T) * mask[..., None]
+        contexts = np.concatenate([table[ids] for table, ids in columns],
+                                  axis=-1) * mask[..., None]
+        if mode == "train" and dropout_rate > 0.0:
+            if rng is None:
+                raise ValueError("train-mode dropout requires an rng")
+            keep = 1.0 - dropout_rate
+            scale = (rng.random(contexts.shape) < keep).astype(contexts.dtype) / keep
+            contexts = contexts * scale
+        combined = (contexts if params.W is None
+                    else np.tanh(contexts @ params.W.T) * mask[..., None])
 
     kind = _attention_kind(params.variant, mode)
     if kind == "uniform":
@@ -216,8 +230,8 @@ def forward(params: ModelParams, example: EncodedExample, mode: str = "infer",
     if mode == "infer" and not np.isfinite(q).all():
         raise TrainingError("non-finite scores")
 
-    return ForwardTrace(contexts, scale, combined, alpha, code_vector,
-                        shifted - np.log(total), q, mask, kind)
+    return ForwardTrace(contexts if mode == "train" else None, scale, combined, alpha,
+                        code_vector, shifted - np.log(total), q, mask, kind)
 
 
 def top_k(scores: np.ndarray, k: int,

@@ -73,7 +73,10 @@ def backward(params: ModelParams, example: EncodedExample, trace: ForwardTrace,
 
     Hard attention is handled straight-through: the gradient flows through
     the selected combined vector only, none through the selection itself.
+    Only a train-mode trace holds the context vectors it needs.
     """
+    if trace.context_vectors is None:
+        raise ValueError("backward needs a train-mode trace")
     grads = Gradients.zeros_like(params)
     g = grads.by_name
     mask = trace.mask

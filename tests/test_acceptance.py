@@ -138,7 +138,7 @@ def test_gradient_check():
         for trial in range(10):
             params = as_float64(init_params(dims, variant, 300 + trial))
             example = random_encoded(rng, dims)
-            trace = forward(params, example)
+            trace = forward(params, example, mode="train")
             grads = dense_gradients(
                 params, backward(params, example, trace, example.label_id))
             failures += [f"{variant.value} trial {trial}: {failure}" for failure in

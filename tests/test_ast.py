@@ -95,6 +95,14 @@ class TestMiniJParser:
         with pytest.raises(MiniJSyntaxError, match="empty input"):
             parse_methods("   \n ")
 
+    @pytest.mark.parametrize("source", ["\x0c", "\xa0", "\x0cint f() { x = 1; }"])
+    def test_whitespace_the_lexer_rejects_is_not_empty_input(self, source):
+        # Only spaces, tabs, CR and LF separate tokens; other Unicode
+        # whitespace is an unexpected character, alone or before a method.
+        with pytest.raises(MiniJSyntaxError) as caught:
+            parse_methods(source)
+        assert str(caught.value) == f"1:1: unexpected character {source[0]!r}"
+
     def test_method_shape(self):
         (ast,) = parse_methods("boolean f(Object target) { return true; }")
         assert write_sexpr_ast(ast) == (

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from codevec.corpus import (ABLATIONS, PAD_ID, UNK_ID, RawExample, Vocabs,
-                            build_vocabs, encode_example, example_rng,
+                            build_vocabs, encode_dataset, encode_example, example_rng,
                             format_example, format_vocabs, load_dataset, parse_example,
                             parse_vocabs, read_dataset, split_subtokens,
                             write_dataset)
@@ -141,6 +141,23 @@ class TestEncode:
                                  example_rng(0, 0))
         assert not encoded.trainable
         assert not encoded.mask.any()
+
+    def test_dataset_ids_match_explicit_generators(self):
+        # encode_dataset builds a generator only for an example longer than
+        # k_max; every example still encodes as with its own example_rng.
+        vocabs = small_vocabs()
+        rng = np.random.default_rng(5)
+        values = ["x", "y", "z", "7", "unseen"]
+        examples = [RawExample("get", [ctx(str(rng.choice(values)), EXAMPLE_PATH,
+                                           str(rng.choice(values))) for _ in range(n)])
+                    for n in (0, 3, 4, 9, 1, 12, 4, 5)]
+        for ablation in ABLATIONS.values():
+            encoded = encode_dataset(examples, vocabs, 4, 11, ablation, epoch=2)
+            for i, (raw, got) in enumerate(zip(examples, encoded)):
+                want = encode_example(raw, vocabs, 4, example_rng(11, i, 2), ablation)
+                for name in ("label_id", "sources", "paths", "targets", "mask"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), \
+                        f"example {i}: {name}"
 
     def test_mask_invariant(self):
         vocabs = small_vocabs()

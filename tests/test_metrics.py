@@ -3,15 +3,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from codevec.corpus import RawExample, build_vocabs, encode_example, example_rng
-from codevec.metrics import Metrics, evaluate, evaluate_encoded, score_pair
+from dataclasses import astuple
+
+from codevec.corpus import (EncodedExample, RawExample, build_vocabs, encode_example,
+                            example_rng)
+from codevec.metrics import EVAL_BATCH, Metrics, evaluate, evaluate_encoded, score_pair
 from codevec.minij import parse_methods
+from codevec.model import AttentionVariant, ModelDims, forward, init_params
 
 from codevec.paths import ExtractionLimits
 from codevec.pipeline import method_to_example
 from codevec.training import TrainConfig, train
 
-from conftest import toy_minij_corpus
+from conftest import random_encoded, tag_vocabs, toy_minij_corpus
 
 
 class TestScorePair:
@@ -149,3 +153,30 @@ class TestEvaluate:
         unseen = [RawExample("neverSeenTag", fitted[1][0].contexts)]
         metrics = evaluate(params, unseen, vocabs)
         assert metrics.tp == 0
+
+    def test_batched_matches_per_example_loop(self):
+        # 70 examples, 3 of them empty, span three stacked batches; the
+        # counts and the rows, in input order, are those of one forward
+        # and one first-maximum argmax per example.
+        rng = np.random.default_rng(41)
+        dims = ModelDims(d=8, num_values=20, num_paths=15, num_tags=12, k_max=10)
+        params = init_params(dims, AttentionVariant.SOFT, 6)
+        vocabs = tag_vocabs(dims.num_tags)
+        empty = EncodedExample(1, *(np.zeros(dims.k_max, np.int64) for _ in range(3)),
+                               np.zeros(dims.k_max))
+        encoded = [random_encoded(rng, dims) for _ in range(67)]
+        for i in (0, 33, 69):
+            encoded.insert(i, empty)
+        labels = [vocabs.tags.entry(int(i)) for i in rng.integers(2, dims.num_tags, 70)]
+        assert len(encoded) > 2 * EVAL_BATCH
+
+        expected, expected_rows = Metrics(), []
+        for example, label in zip(encoded, labels):
+            predicted = (vocabs.tags.entry(int(np.argmax(forward(params, example).q)))
+                         if example.trainable else "")
+            expected_rows.append((label, predicted, *expected.add(predicted, label)))
+        rows = []
+        metrics = evaluate_encoded(params, encoded, labels, vocabs, per_example=rows)
+        assert astuple(metrics) == astuple(expected)
+        assert rows == expected_rows
+        assert 0 < metrics.tp and metrics.exact < metrics.count

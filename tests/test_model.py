@@ -1,6 +1,7 @@
 import itertools
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -302,6 +303,65 @@ class TestPredict:
             hard, example, 3, vocabs)
         soft_trace = forward(mixed, example, mode="train")
         assert 0.0 < soft_trace.alpha.max() < 1.0
+
+
+class TestInferProjection:
+    """Inference projects each distinct id once through its block of W; it
+    must give what train mode, without dropout, computes from the dense
+    context matrix."""
+
+    @staticmethod
+    def batch(ablation):
+        # s* values occur only as sources, t* only as targets and v* as
+        # both; 2 to 12 contexts in 9 slots repeat ids within and across
+        # examples, pad the short ones and sample the long ones. The
+        # vocabulary cutoffs leave some values and paths UNK.
+        rng = np.random.default_rng(31)
+        sources = ["s0", "s1", "s2", "s3", "v0", "v1"]
+        targets = ["t0", "t1", "t2", "t3", "v0", "v1"]
+        paths = [path_from_string(f"NameExpr^Kind{i}_IntegerLiteralExpr") for i in range(6)]
+        raws = [RawExample(f"name{i % 3}", [
+            PathContext(str(rng.choice(sources)), paths[rng.integers(6)],
+                        str(rng.choice(targets))) for _ in range(rng.integers(2, 13))])
+            for i in range(10)]
+        vocabs = build_vocabs(raws, max_values=9, max_paths=5)
+        k_max = 9
+        batch = stack_examples([encode_example(raw, vocabs, k_max, example_rng(3, i),
+                                               ABLATIONS[ablation])
+                                for i, raw in enumerate(raws)])
+        dims = ModelDims(4, len(vocabs.values), len(vocabs.paths), len(vocabs.tags), k_max)
+        return dims, batch
+
+    def test_fixture_repeats_ids_and_pads(self):
+        _, batch = self.batch("full")
+        valid = batch.mask.astype(bool)
+        assert not valid.all()
+        for ids in (batch.sources, batch.paths, batch.targets):
+            assert len(np.unique(ids[valid])) < valid.sum()
+        only_sources = set(batch.sources[valid].tolist()) - set(batch.targets[valid].tolist())
+        only_targets = set(batch.targets[valid].tolist()) - set(batch.sources[valid].tolist())
+        assert only_sources and only_targets
+
+    @pytest.mark.parametrize("ablation", list(ABLATIONS))
+    @pytest.mark.parametrize("variant", list(AttentionVariant))
+    def test_matches_train_mode_without_dropout(self, variant, ablation):
+        dims, batch = self.batch(ablation)
+        params = init_params(dims, variant, 17, ABLATIONS[ablation])
+        # Train-soft-predict-hard predicts with hard attention.
+        reference = (replace(params, variant=AttentionVariant.HARD)
+                     if variant is AttentionVariant.TRAIN_SOFT_PREDICT_HARD else params)
+        infer = forward(params, batch)
+        train = forward(reference, batch, mode="train")
+        assert infer.context_vectors is None and infer.dropout_scale == 1.0
+        for name in ("combined", "alpha", "code_vector", "q"):
+            got, want = getattr(infer, name), getattr(train, name)
+            assert got.dtype == want.dtype == np.float32
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6, err_msg=name)
+        for i in range(len(batch.label_id)):
+            single = forward(params, replace(batch, **{
+                name: getattr(batch, name)[i]
+                for name in ("label_id", "sources", "paths", "targets", "mask")}))
+            np.testing.assert_allclose(single.q, infer.q[i], rtol=1e-5, atol=1e-6)
 
 
 def tiny_vocabs():

@@ -28,15 +28,14 @@ EPS = np.finfo(np.float64).eps
 
 
 def loss_at(params, example, label_id, dropout_seed=None):
-    """A function of no arguments that returns the summed loss at the
-    parameters' current values; with `dropout_seed`, every call draws the
-    same train-mode dropout mask from a fresh generator."""
+    """A function of no arguments that returns the summed train-mode loss
+    at the parameters' current values: without dropout, or with
+    `dropout_seed` the same dropout mask, drawn from a fresh generator,
+    at every call."""
     def run():
-        if dropout_seed is None:
-            trace = forward(params, example)
-        else:
-            trace = forward(params, example, mode="train", dropout_rate=0.25,
-                            rng=np.random.default_rng(dropout_seed))
+        trace = forward(params, example, mode="train",
+                        dropout_rate=0.0 if dropout_seed is None else 0.25,
+                        rng=np.random.default_rng(dropout_seed))
         return float(np.sum(loss(trace, label_id)))
     return run
 
@@ -141,7 +140,7 @@ class TestGradients:
         for trial in range(10):
             params = as_float64(init_params(DIMS, variant, 100 + trial))
             example = random_encoded(rng, DIMS)
-            trace = forward(params, example)
+            trace = forward(params, example, mode="train")
             grads = dense_gradients(
                 params, backward(params, example, trace, example.label_id))
             assert not gradient_failures(params, example, example.label_id,
@@ -154,7 +153,7 @@ class TestGradients:
         rng = np.random.default_rng(13)
         params = as_float64(init_params(DIMS, AttentionVariant.HARD, 3))
         example = random_encoded(rng, DIMS, n_valid=3)
-        trace = forward(params, example)
+        trace = forward(params, example, mode="train")
         grads = backward(params, example, trace, example.label_id)
         assert (grads.by_name["attention"] == 0).all()
         assert not gradient_failures(params, example, example.label_id,
@@ -176,7 +175,7 @@ class TestGradients:
         params = as_float64(init_params(DIMS, AttentionVariant.SOFT, 6))
         example = EncodedExample(2, np.array([3, 0]), np.array([2, 0]),
                                  np.array([3, 0]), np.array([1.0, 0.0]))
-        trace = forward(params, example)
+        trace = forward(params, example, mode="train")
         grads = backward(params, example, trace, example.label_id)
         value_grad = dense_gradients(params, grads)["value_vocab"]
         assert not gradient_failures(params, example, example.label_id,
@@ -191,7 +190,7 @@ class TestGradients:
         params = init_params(DIMS, AttentionVariant.SOFT, 7)
         example = EncodedExample(2, np.array([3, PAD_ID, 5]), np.array([2, 4, 1]),
                                  np.array([4, 5, 3]), np.array([1.0, 1.0, 0.0]))
-        grads = backward(params, example, forward(params, example), 2)
+        grads = backward(params, example, forward(params, example, mode="train"), 2)
         assert grads.rows["value_vocab"][0].tolist() == [3, 4, 5]
         assert grads.rows["path_vocab"][0].tolist() == [2, 4]
         for ids, rows in grads.rows.values():
@@ -236,12 +235,22 @@ class TestGradients:
                     assert loss(trace, stacked.label_id)[i] == pytest.approx(
                         loss(single, example.label_id), abs=1e-12)
 
+    @pytest.mark.parametrize("variant", list(AttentionVariant))
+    def test_infer_trace_rejected(self, variant):
+        # An infer trace holds no context vectors to differentiate.
+        params = init_params(DIMS, variant, 11)
+        example = random_encoded(np.random.default_rng(20), DIMS)
+        trace = forward(params, example)
+        assert trace.context_vectors is None
+        with pytest.raises(ValueError, match="train-mode trace"):
+            backward(params, example, trace, example.label_id)
+
     def test_all_finite(self):
         rng = np.random.default_rng(16)
         for variant in GRAD_VARIANTS:
             params = init_params(DIMS, variant, 9)
             example = random_encoded(rng, DIMS)
-            grads = backward(params, example, forward(params, example),
+            grads = backward(params, example, forward(params, example, mode="train"),
                              example.label_id)
             for arr in dense_gradients(params, grads).values():
                 assert np.isfinite(arr).all()
@@ -326,7 +335,7 @@ class TestDescentAndTraining:
         batch = stack_examples(examples)
         losses = []
         for _ in range(10):
-            trace = forward(params, batch)
+            trace = forward(params, batch, mode="train")
             losses.append(loss(trace, batch.label_id).sum())
             adam_step(params, backward(params, batch, trace, batch.label_id),
                       state, config)
