@@ -125,20 +125,21 @@ class AstBuilder:
 # Whitespace between tokens is any run of space/tab/newline; '"' inside
 # values is escaped as \" and backslash as \\.
 
-_TOKEN_RE = re.compile(r'[()]|"(?:[^"\\]|\\.)*"|[^\s()"]+')
+_TOKEN_RE = re.compile(r'[()]|"(?:[^"\\]|\\.)*"|[^\s()"]+|(?P<bad>\S)')
+
+# A kind is spliced into path strings, which split contexts on ',' and
+# kinds on '^' and '_': one with ',' or an empty piece would not read back.
+_BAD_KIND_RE = re.compile(r",|^[\^_]|[\^_]$|[\^_][\^_]")
 
 
 def _tokenize_sexpr(text: str):
-    pos = 0
+    """Parentheses, strings and bare words, whitespace skipped. The only
+    character that starts none of them is a '"' opening no complete string."""
     tokens = []
     for match in _TOKEN_RE.finditer(text):
-        between = text[pos:match.start()]
-        if between.strip():
-            raise SExprError(f"unexpected character {between.strip()[0]!r}")
+        if match.lastgroup == "bad":
+            raise SExprError(f"unexpected character {match.group()!r}")
         tokens.append(match.group())
-        pos = match.end()
-    if text[pos:].strip():
-        raise SExprError(f"unexpected character {text[pos:].strip()[0]!r}")
     return tokens
 
 
@@ -163,6 +164,9 @@ def read_sexpr_asts(text: str) -> list[Ast]:
             pos += 1
             if pos >= len(tokens) or tokens[pos] in '()' or tokens[pos].startswith('"'):
                 raise SExprError("expected node kind after '('")
+            if _BAD_KIND_RE.search(tokens[pos]):
+                raise SExprError(f"kind {tokens[pos]!r} holds ',' or leaves an empty "
+                                 "piece when split on '^' and '_'")
             open_nodes.append([tokens[pos], [], None])
         elif not open_nodes:
             raise SExprError("unbalanced parentheses: stray ')'" if tok == ")"

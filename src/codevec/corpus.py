@@ -19,6 +19,7 @@ UNK_ID = 1
 PAD_TOKEN = "<PAD>"
 UNK_TOKEN = "<UNK>"
 
+_LABEL_BREAK_RE = re.compile(r"[ \r\n]")
 _SUBTOKEN_RE = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z]*|[a-z]+|[0-9]+")
 
 
@@ -63,6 +64,9 @@ class RawExample:
     def __post_init__(self):
         if not self.label:
             raise DatasetFormatError("empty label")
+        # A dataset line splits on ' ', and a file's lines on CR and LF.
+        if _LABEL_BREAK_RE.search(self.label):
+            raise DatasetFormatError(f"label {self.label!r} holds a space, CR or LF")
 
 
 @dataclass

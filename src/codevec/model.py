@@ -91,7 +91,7 @@ class ForwardTrace:
     log_q: np.ndarray             # (|Y|,), log q; log_q[PAD] == -inf
     q: np.ndarray                 # (|Y|,), q[PAD] == 0
     mask: np.ndarray              # (k,)
-    attention_kind: str           # 'soft' | 'uniform' | 'hard' | 'elementwise'
+    attention_kind: str           # 'soft' (element-wise too) | 'uniform' | 'hard'
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -127,14 +127,6 @@ def init_params(dims: ModelDims, variant: AttentionVariant, seed: int,
     return ModelParams(dims, variant, **{"W": None, **groups}, ablation=ablation)
 
 
-def _masked_softmax(scores: np.ndarray, valid: np.ndarray, axis: int) -> np.ndarray:
-    """Softmax along the slot axis over valid slots; invalid slots get
-    exactly zero. Max-subtraction keeps the exp in range for large scores."""
-    shifted = np.where(valid, scores, -np.inf)
-    exp = np.exp(shifted - shifted.max(axis=axis, keepdims=True))
-    return exp / exp.sum(axis=axis, keepdims=True)
-
-
 def _attention_kind(variant: AttentionVariant, mode: str) -> str:
     if variant is AttentionVariant.NO_ATTENTION:
         return "uniform"
@@ -142,8 +134,6 @@ def _attention_kind(variant: AttentionVariant, mode: str) -> str:
         return "hard"
     if variant is AttentionVariant.TRAIN_SOFT_PREDICT_HARD:
         return "soft" if mode == "train" else "hard"
-    if variant is AttentionVariant.ELEMENT_WISE:
-        return "elementwise"
     return "soft"
 
 
@@ -188,6 +178,7 @@ def forward(params: ModelParams, example: EncodedExample, mode: str = "infer",
         combined = np.zeros(valid.shape + (d,), source.dtype)
         combined[valid] = np.tanh(source + path + target)
     else:
+        # The one mask multiply: a masked slot's row is zero from here on.
         contexts = np.concatenate([table[ids] for table, ids in columns],
                                   axis=-1) * mask[..., None]
         if mode == "train" and dropout_rate > 0.0:
@@ -196,29 +187,28 @@ def forward(params: ModelParams, example: EncodedExample, mode: str = "infer",
             keep = 1.0 - dropout_rate
             scale = (rng.random(contexts.shape) < keep).astype(contexts.dtype) / keep
             contexts = contexts * scale
-        combined = (contexts if params.W is None
-                    else np.tanh(contexts @ params.W.T) * mask[..., None])
+        combined = contexts if params.W is None else np.tanh(contexts @ params.W.T)
 
+    # alpha is (..., k, w): w = d for element-wise attention, else 1. A
+    # masked slot scores -inf, so it gets exactly zero weight.
     kind = _attention_kind(params.variant, mode)
+    scores = combined @ params.attention.reshape(combined.shape[-1], -1)
+    scores = np.where(valid[..., None], scores, -np.inf)
     if kind == "uniform":
-        alpha = mask / mask.sum(axis=-1, keepdims=True)
-    elif kind == "elementwise":
-        scores = combined @ params.attention  # (k, d); column j scored by a_j
-        alpha = _masked_softmax(scores, valid[..., None], axis=-2)
-    else:
-        scores = combined @ params.attention  # (k,)
-        if kind == "hard":
-            # Lowest index wins ties: argmax on a masked array returns the
-            # first occurrence of the maximum.
-            best = np.argmax(np.where(valid, scores, -np.inf), axis=-1)
-            alpha = (np.arange(scores.shape[-1]) == best[..., None]).astype(scores.dtype)
-        else:
-            alpha = _masked_softmax(scores, valid, axis=-1)
+        alpha = (mask / mask.sum(axis=-1, keepdims=True))[..., None]
+    elif kind == "hard":  # argmax returns the first maximum: the lowest index wins ties
+        best = np.argmax(scores, axis=-2)
+        alpha = (np.arange(valid.shape[-1])[:, None] == best[..., None, :]).astype(scores.dtype)
+    else:  # softmax over the slots; max-subtraction keeps exp in range
+        alpha = np.exp(scores - scores.max(axis=-2, keepdims=True))
+        alpha /= alpha.sum(axis=-2, keepdims=True)
 
-    if kind == "elementwise":
-        code_vector = (alpha * combined).sum(axis=-2)
-    else:
+    # v = sum_i alpha_i * c_i; for scalar weights one batched matmul, alpha^T @ combined.
+    if params.attention.ndim == 1:
+        alpha = alpha[..., 0]
         code_vector = (alpha[..., None, :] @ combined)[..., 0, :]
+    else:
+        code_vector = (alpha * combined).sum(axis=-2)
 
     # PAD is never a real label: q[PAD] == 0 and log_q[PAD] == -inf.
     shifted = code_vector @ params.tags_vocab.T

@@ -79,7 +79,6 @@ def backward(params: ModelParams, example: EncodedExample, trace: ForwardTrace,
         raise ValueError("backward needs a train-mode trace")
     grads = Gradients.zeros_like(params)
     g = grads.by_name
-    mask = trace.mask
     d = params.dims.d
 
     # softmax + NLL
@@ -88,26 +87,17 @@ def backward(params: ModelParams, example: EncodedExample, trace: ForwardTrace,
     g["tags_vocab"] = _flat(dz).T @ _flat(trace.code_vector)
     d_code = dz @ params.tags_vocab
 
+    # v = sum_i alpha_i * h_i with alpha (..., k, w); alpha is 0 on masked slots.
     h = trace.combined
-    alpha = trace.alpha
-    if trace.attention_kind == "elementwise":
-        d_alpha = h * d_code[..., None, :]
-        dh = alpha * d_code[..., None, :]
-        col_dot = (alpha * d_alpha).sum(axis=-2, keepdims=True)
-        de = alpha * (d_alpha - col_dot) * mask[..., None]
-        g["attention"] = _flat(h).T @ _flat(de)
-        dh += de @ params.attention.T
-    elif trace.attention_kind == "soft":
-        d_alpha = (h @ d_code[..., None])[..., 0]
-        dh = alpha[..., None] * d_code[..., None, :]
-        de = alpha * (d_alpha - (alpha * d_alpha).sum(axis=-1, keepdims=True)) * mask
-        g["attention"] = de.reshape(-1) @ _flat(h)
-        dh += de[..., None] * params.attention
-    else:
-        # uniform: alpha constant in the inputs; hard: straight-through.
-        dh = alpha[..., None] * d_code[..., None, :]
-
-    dh *= mask[..., None]
+    alpha = trace.alpha.reshape(h.shape[:-1] + (-1,))
+    dh = alpha * d_code[..., None, :]
+    if trace.attention_kind == "soft":
+        d_alpha = (h @ d_code[..., None] if params.attention.ndim == 1
+                   else h * d_code[..., None, :])
+        de = alpha * (d_alpha - (alpha * d_alpha).sum(axis=-2, keepdims=True))
+        g["attention"] = (_flat(h).T @ _flat(de)).reshape(params.attention.shape)
+        dh += de @ params.attention.reshape(h.shape[-1], -1).T
+    # uniform: alpha constant in the inputs; hard: straight-through.
 
     if params.variant is AttentionVariant.SOFT_NO_FC:
         d_contexts = dh
@@ -117,7 +107,7 @@ def backward(params: ModelParams, example: EncodedExample, trace: ForwardTrace,
         d_contexts = du @ params.W
 
     # Padded slots never contribute: only valid slots reach the tables.
-    valid = mask.astype(bool)
+    valid = trace.mask.astype(bool)
     d_contexts = (d_contexts * trace.dropout_scale)[valid]
     grads.rows["value_vocab"] = _sum_rows(
         np.concatenate([example.sources[valid], example.targets[valid]]),

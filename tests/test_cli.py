@@ -6,12 +6,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codevec.cli import main
 from codevec.corpus import (ABLATIONS, RawExample, encode_example, example_rng,
-                            format_vocabs, load_dataset, sample_contexts)
+                            format_vocabs, load_dataset, sample_contexts,
+                            write_dataset)
 from codevec.metrics import evaluate
 from codevec.minij import MAX_NESTING, parse_methods
 from codevec.model import (MAX_SLOTS, AttentionVariant, load_model, predict_topk,
@@ -127,6 +128,33 @@ class TestExtract:
         assert f"{files[1]}: 'utf-8' codec can't decode byte 0xff" in err
         assert "Traceback" not in err
         assert [ex.label for ex in load_dataset(str(out))] == ["getA", "getC"]
+
+    @pytest.mark.parametrize("command", ["extract", "predict"])
+    @pytest.mark.parametrize("kind,name,message", [
+        ("Re,turn", "getX", "kind 'Re,turn' holds ',' or leaves an empty piece"),
+        ("_Ret", "getX", "kind '_Ret' holds ','"),
+        ("A_", "getX", "kind 'A_' holds ','"),
+        ("Return", "get X", "label 'get X' holds a space, CR or LF"),
+        ("Return", "get\nX", "label 'get\\nX' holds a space, CR or LF"),
+        ("Return", "get\rX", "label 'get\\nX' holds a space, CR or LF")])
+    def test_unreadable_kind_or_label_is_reported(self, command, kind, name, message,
+                                                  tmp_path, capsys, request):
+        # Each would write a line that `train` and `eval` reject or misread.
+        good, bad = tmp_path / "good.sexpr", tmp_path / "bad.sexpr"
+        good.write_text(GOOD_TREE + "\n", encoding="utf-8")
+        bad.write_text(f'(MethodDecl (Type "int") (Name "{name}") '
+                       f'(Block ({kind} (NameExpr "x"))))\n', encoding="utf-8")
+        out = tmp_path / "o.c2v"
+        argv = (["extract", str(good), str(bad), "-o", str(out)] if command == "extract"
+                else ["predict", "--model", str(request.getfixturevalue("model_file")),
+                      str(good), str(bad)])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"{bad}: {message}" in captured.err and "Traceback" not in captured.err
+        if command == "extract":
+            assert [ex.label for ex in load_dataset(str(out))] == ["getX"]
+        else:
+            assert captured.out.startswith("# getX\n") and captured.out.count("# ") == 1
 
     def test_method_without_body_has_no_contexts(self, tmp_path, capsys):
         src = tmp_path / "tree.sexpr"
@@ -608,3 +636,35 @@ def test_extract_fuzz_exits_cleanly(fuzz_dir, nest, depth, soup):
         code = main(["extract", str(src), "-o", str(fuzz_dir / "soup.c2v")])
     assert code in (0, 2)
     assert "Traceback" not in err.getvalue()
+
+
+# Letters plus every character the dataset line format splits on.
+_LINE_BREAKING = st.text(alphabet="ab,^_ \r\n", max_size=5)
+
+
+@given(name=_LINE_BREAKING, kinds=st.lists(_LINE_BREAKING, min_size=3, max_size=3),
+       value=_LINE_BREAKING)
+@example(name="get X", kinds=["Block", "Return", "NameExpr"], value="x")
+@example(name="get\nX", kinds=["Block", "Return", "NameExpr"], value="x")
+@example(name="getX", kinds=["Block", "Re,turn", "NameExpr"], value="x")
+@example(name="getX", kinds=["Block", "_Ret", "NameExpr"], value="x")
+@example(name="getX", kinds=["a_b", "a^b", "NameExpr"], value="x")
+@settings(max_examples=100, deadline=None)
+def test_extracted_dataset_reads_back(fuzz_dir, name, kinds, value):
+    # Either extract reports the method and exits 2, or what it wrote
+    # reads back into examples that write the same bytes.
+    src, out = fuzz_dir / "names.sexpr", fuzz_dir / "names.c2v"
+    block, left, right = kinds
+    src.write_text(f'(MethodDecl (Name "{name}") ({block} ({left} "{value}") '
+                   f'({right} "y")))\n', encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["extract", str(src), "-o", str(out)])
+    if code == 2:
+        assert err.getvalue().startswith(f"{src}: ")
+        return
+    assert code == 0
+    written = out.read_bytes().decode("utf-8")
+    copy = io.StringIO()
+    write_dataset(load_dataset(str(out)), copy)
+    assert copy.getvalue() == written

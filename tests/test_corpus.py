@@ -203,6 +203,11 @@ class TestDatasetFormat:
         with pytest.raises(DatasetFormatError):
             parse_example(" x,A^M_B,7", lineno=3)
 
+    @pytest.mark.parametrize("label", ["get X", "get\nX", "get\rX", "\n"])
+    def test_label_the_line_format_would_split(self, label):
+        with pytest.raises(DatasetFormatError, match="holds a space, CR or LF"):
+            RawExample(label, [])
+
     def test_file_not_utf8(self, tmp_path):
         path = tmp_path / "bad.c2v"
         path.write_bytes(b"getX x,NameExpr^Return,y\nget\xff\n")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,37 @@ class TestGradients:
                     assert np.abs(trace.q[i] - single.q).max() <= 1e-12
                     assert loss(trace, stacked.label_id)[i] == pytest.approx(
                         loss(single, example.label_id), abs=1e-12)
+
+    @pytest.mark.parametrize("variant", list(AttentionVariant))
+    def test_masked_slots_inert_in_training(self, variant):
+        # A masked slot's context row is zeroed once, in `forward`, and its
+        # alpha is exactly 0: the ids it holds change no bit of the trace or
+        # of any gradient. Dropout draws the same mask for both examples.
+        dims = ModelDims(d=8, num_values=20, num_paths=20, num_tags=6, k_max=10)
+        rng = np.random.default_rng(31)
+        params = init_params(dims, variant, 12)
+        padded = stack_examples([random_encoded(rng, dims, n) for n in (1, 4, 9)])
+        masked = ~padded.mask.astype(bool)
+        noisy = replace(padded, **{
+            name: np.where(masked, rng.integers(2, 20, masked.shape), getattr(padded, name))
+            for name in ("sources", "paths", "targets")})
+        runs = []
+        for example in (padded, noisy):
+            trace = forward(params, example, mode="train", dropout_rate=0.25,
+                            rng=np.random.default_rng(5))
+            grads = backward(params, example, trace, example.label_id)
+            runs.append((trace, dense_gradients(params, grads)))
+        (trace, grads), (noisy_trace, noisy_grads) = runs
+        assert (noisy.sources[masked] != PAD_ID).all()
+        assert not noisy_trace.combined[masked].any()
+        # Bit for bit, but for the sign of a zero: a no-FC masked row of
+        # `combined` is an embedding row times 0, so -0.0 where it was < 0.
+        def bits(arr):
+            return (arr + 0.0).tobytes()
+        for name in ("combined", "alpha", "code_vector", "log_q"):
+            assert bits(getattr(trace, name)) == bits(getattr(noisy_trace, name)), name
+        for name, grad in grads.items():
+            assert bits(grad) == bits(noisy_grads[name]), name
 
     @pytest.mark.parametrize("variant", list(AttentionVariant))
     def test_infer_trace_rejected(self, variant):
