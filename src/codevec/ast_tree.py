@@ -127,10 +127,6 @@ class AstBuilder:
 
 _TOKEN_RE = re.compile(r'[()]|"(?:[^"\\]|\\.)*"|[^\s()"]+|(?P<bad>\S)')
 
-# A kind is spliced into path strings, which split contexts on ',' and
-# kinds on '^' and '_': one with ',' or an empty piece would not read back.
-_BAD_KIND_RE = re.compile(r",|^[\^_]|[\^_]$|[\^_][\^_]")
-
 
 def _tokenize_sexpr(text: str):
     """Parentheses, strings and bare words, whitespace skipped. The only
@@ -164,9 +160,6 @@ def read_sexpr_asts(text: str) -> list[Ast]:
             pos += 1
             if pos >= len(tokens) or tokens[pos] in '()' or tokens[pos].startswith('"'):
                 raise SExprError("expected node kind after '('")
-            if _BAD_KIND_RE.search(tokens[pos]):
-                raise SExprError(f"kind {tokens[pos]!r} holds ',' or leaves an empty "
-                                 "piece when split on '^' and '_'")
             open_nodes.append([tokens[pos], [], None])
         elif not open_nodes:
             raise SExprError("unbalanced parentheses: stray ')'" if tok == ")"

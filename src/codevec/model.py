@@ -155,8 +155,8 @@ def forward(params: ModelParams, example: EncodedExample, mode: str = "infer",
     batch stacked by `corpus.stack_examples`: its arrays carry a leading
     batch axis, and so does every array of the trace.
 
-    In train mode, inverted dropout with the given rate, drawn from `rng`,
-    is applied to the context vectors (kept entries scaled by 1/keep).
+    In train mode, inverted dropout at the given rate scales the context
+    vectors (kept entries by 1/keep); `rng` draws one float64 per entry.
     In infer mode, where W·[x_s; p; x_t] = W_s·x_s + W_p·p + W_t·x_t, each
     distinct id of the valid slots is projected once through its block of W,
     the trace holds no context vectors, and a non-finite q raises TrainingError.
@@ -170,24 +170,29 @@ def forward(params: ModelParams, example: EncodedExample, mode: str = "infer",
     columns = ((params.value_vocab, example.sources), (params.path_vocab, example.paths),
                (params.value_vocab, example.targets))
 
+    d = params.dims.d
     contexts, scale = None, 1.0
     if mode == "infer" and params.W is not None:
-        d = params.dims.d
         source, path, target = (_project(table, ids[valid], params.W[:, j * d:(j + 1) * d])
                                 for j, (table, ids) in enumerate(columns))
         combined = np.zeros(valid.shape + (d,), source.dtype)
         combined[valid] = np.tanh(source + path + target)
     else:
-        # The one mask multiply: a masked slot's row is zero from here on.
-        contexts = np.concatenate([table[ids] for table, ids in columns],
-                                  axis=-1) * mask[..., None]
+        contexts = np.empty(valid.shape + (3 * d,), params.value_vocab.dtype)
+        for j, (table, ids) in enumerate(columns):
+            contexts[..., j * d:(j + 1) * d] = table[ids]
+        contexts[~valid] = 0.0  # a masked slot's row is zero from here on
         if mode == "train" and dropout_rate > 0.0:
             if rng is None:
                 raise ValueError("train-mode dropout requires an rng")
             keep = 1.0 - dropout_rate
-            scale = (rng.random(contexts.shape) < keep).astype(contexts.dtype) / keep
-            contexts = contexts * scale
-        combined = contexts if params.W is None else np.tanh(contexts @ params.W.T)
+            scale = np.empty_like(contexts)  # per example: the stream of one whole draw
+            for block in scale.reshape(-1, *contexts.shape[-2:]):
+                np.less(rng.random(block.shape), keep, out=block)
+            scale /= keep
+            contexts *= scale
+        combined = contexts if params.W is None else np.tanh(
+            contexts.reshape(-1, 3 * d) @ params.W.T).reshape(valid.shape + (d,))
 
     # alpha is (..., k, w): w = d for element-wise attention, else 1. A
     # masked slot scores -inf, so it gets exactly zero weight.

@@ -4,10 +4,16 @@ and emits the dataset example."""
 
 from __future__ import annotations
 
+import re
+
 from .ast_tree import Ast, AstNode
 from .corpus import RawExample
-from .errors import CodevecError
+from .errors import CodevecError, DatasetFormatError
 from .paths import ExtractionLimits, extract_path_contexts
+
+# A kind is spliced into path strings, which split contexts on ',' and
+# kinds on '^' and '_': one with ',' or an empty piece would not read back.
+_BAD_KIND_RE = re.compile(r",|^[\^_]|[\^_]$|[\^_][\^_]")
 
 
 def _name_child(ast: Ast) -> int:
@@ -46,6 +52,10 @@ def method_to_example(ast: Ast, limits: ExtractionLimits) -> RawExample:
     """Dataset example for one method: label from the declaration, contexts
     extracted from the body with the name terminal removed. A MethodDecl
     whose only child is its Name has no contexts."""
+    for kind in dict.fromkeys(node.kind for node in ast.nodes):
+        if _BAD_KIND_RE.search(kind):
+            raise DatasetFormatError(f"kind {kind!r} holds ',' or leaves an empty "
+                                     "piece when split on '^' and '_'")
     label = method_label(ast)
     if len(ast.node(ast.root).children) == 1:
         return RawExample(label, [])

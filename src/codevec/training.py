@@ -53,12 +53,20 @@ class Gradients:
 
 
 def _sum_rows(ids: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unique non-PAD ids, and for each the sum of its rows."""
-    keep = ids != PAD_ID
-    unique, inverse = np.unique(ids[keep], return_inverse=True)
-    summed = np.zeros((len(unique), rows.shape[-1]), rows.dtype)
-    np.add.at(summed, inverse, rows[keep])
-    return unique, summed
+    """Unique non-PAD ids, ascending, and for each the float64 sum of its
+    d-wide rows (`rows` holds one per id, in order), rounded once: one
+    bincount over `row id * width + column` per block of up to 32 columns."""
+    unique, inverse = np.unique(ids, return_inverse=True)
+    d = rows.shape[-1]
+    width = np.gcd(d, 32)
+    index = (inverse[:, None] * width + np.arange(width)).ravel()
+    summed = np.empty((unique.size, d), rows.dtype)
+    for start in range(0, d, width):
+        summed[:, start:start + width] = np.bincount(
+            index, rows[..., start:start + width].astype(np.float64).ravel(),
+            unique.size * width).reshape(-1, width)
+    keep = unique != PAD_ID
+    return unique[keep], summed[keep]
 
 
 def _flat(arr: np.ndarray) -> np.ndarray:
@@ -77,8 +85,7 @@ def backward(params: ModelParams, example: EncodedExample, trace: ForwardTrace,
     """
     if trace.context_vectors is None:
         raise ValueError("backward needs a train-mode trace")
-    grads = Gradients.zeros_like(params)
-    g = grads.by_name
+    g = {}
     d = params.dims.d
 
     # softmax + NLL
@@ -96,24 +103,25 @@ def backward(params: ModelParams, example: EncodedExample, trace: ForwardTrace,
                    else h * d_code[..., None, :])
         de = alpha * (d_alpha - (alpha * d_alpha).sum(axis=-2, keepdims=True))
         g["attention"] = (_flat(h).T @ _flat(de)).reshape(params.attention.shape)
-        dh += de @ params.attention.reshape(h.shape[-1], -1).T
-    # uniform: alpha constant in the inputs; hard: straight-through.
+        dh += (de * params.attention if params.attention.ndim == 1
+               else de @ params.attention.T)
+    else:  # uniform: alpha constant in the inputs; hard: straight-through.
+        g["attention"] = np.zeros_like(params.attention)
 
-    if params.variant is AttentionVariant.SOFT_NO_FC:
-        d_contexts = dh
-    else:
-        du = dh * (1.0 - h ** 2)
-        g["W"] = _flat(du).T @ _flat(trace.context_vectors)
-        d_contexts = du @ params.W
-
-    # Padded slots never contribute: only valid slots reach the tables.
-    valid = trace.mask.astype(bool)
-    d_contexts = (d_contexts * trace.dropout_scale)[valid]
-    grads.rows["value_vocab"] = _sum_rows(
-        np.concatenate([example.sources[valid], example.targets[valid]]),
-        np.concatenate([d_contexts[:, :d], d_contexts[:, 2 * d:]]))
-    grads.rows["path_vocab"] = _sum_rows(example.paths[valid], d_contexts[:, d:2 * d])
-    return grads
+    # Flat valid rows from here on: views when every slot is valid.
+    rows = slice(None) if trace.mask.all() else trace.mask.ravel() != 0
+    d_contexts = _flat(dh)[rows]
+    if params.variant is not AttentionVariant.SOFT_NO_FC:
+        d_contexts *= 1.0 - _flat(h)[rows] ** 2
+        g["W"] = d_contexts.T @ _flat(trace.context_vectors)[rows]
+        d_contexts = d_contexts @ params.W
+    if isinstance(trace.dropout_scale, np.ndarray):
+        d_contexts *= _flat(trace.dropout_scale)[rows]
+    # The value table takes each slot's source row, then its target row.
+    value_ids = np.stack([example.sources, example.targets], -1).reshape(-1, 2)[rows]
+    return Gradients(g, {
+        "value_vocab": _sum_rows(value_ids.ravel(), d_contexts.reshape(-1, 3, d)[:, ::2]),
+        "path_vocab": _sum_rows(example.paths.ravel()[rows], d_contexts[:, d:2 * d])})
 
 
 @dataclass
@@ -125,8 +133,8 @@ class AdamState:
     @classmethod
     def zeros_like(cls, params: ModelParams) -> "AdamState":
         groups = params.groups()
-        return cls({n: np.zeros_like(a) for n, a in groups.items()},
-                   {n: np.zeros_like(a) for n, a in groups.items()})
+        return cls({n: np.zeros(a.shape, a.dtype) for n, a in groups.items()},
+                   {n: np.zeros(a.shape, a.dtype) for n, a in groups.items()})
 
 
 @dataclass
@@ -166,17 +174,21 @@ def adam_step(params: ModelParams, grads: Gradients, state: AdamState,
     t = state.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, param in params.groups().items():
+        rows, grad = grads.rows.get(name) or (slice(None), grads.by_name[name])
+        # In place: a dense group's moments are views, a table's rows copies.
+        m, v = state.m[name][rows], state.v[name][rows]
+        scratch = np.multiply(grad, 1 - b1)
+        m *= b1
+        m += scratch
+        v *= b2
+        v += np.multiply(np.square(grad, out=scratch), 1 - b2, out=scratch)
         if name in grads.rows:
-            rows, grad = grads.rows[name]
-        else:
-            rows, grad = slice(None), grads.by_name[name]
-        m = b1 * state.m[name][rows] + (1 - b1) * grad
-        v = b2 * state.v[name][rows] + (1 - b2) * grad ** 2
-        state.m[name][rows] = m
-        state.v[name][rows] = v
-        m_hat = m / (1 - b1 ** t)
-        v_hat = v / (1 - b2 ** t)
-        param[rows] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+            state.m[name][rows], state.v[name][rows] = m, v
+        denominator = np.sqrt(np.divide(v, 1 - b2 ** t, out=scratch), out=scratch)
+        denominator += ADAM_EPSILON
+        update = m / (1 - b1 ** t)
+        update *= config.learning_rate
+        param[rows] -= np.divide(update, denominator, out=update)
 
 
 @dataclass

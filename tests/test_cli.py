@@ -156,6 +156,19 @@ class TestExtract:
         else:
             assert captured.out.startswith("# getX\n") and captured.out.count("# ") == 1
 
+    def test_bad_kind_skips_only_its_method(self, tmp_path, capsys):
+        # The good trees before and after it in the same file are kept.
+        src = tmp_path / "mixed.sexpr"
+        bad = GOOD_TREE.replace("getX", "getY").replace("Return", "Re,turn")
+        src.write_text("\n".join([GOOD_TREE, bad, GOOD_TREE.replace("getX", "getZ")]) + "\n",
+                       encoding="utf-8")
+        out = tmp_path / "o.c2v"
+        assert main(["extract", str(src), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"{src}: ") == 1 and "Traceback" not in err
+        assert f"{src}: kind 'Re,turn' holds ','" in err and "1 failures" in err
+        assert [ex.label for ex in load_dataset(str(out))] == ["getX", "getZ"]
+
     def test_method_without_body_has_no_contexts(self, tmp_path, capsys):
         src = tmp_path / "tree.sexpr"
         src.write_text('(MethodDecl (Type "int") (Name "getX") '

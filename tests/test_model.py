@@ -212,6 +212,22 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(params, example, mode="train", dropout_rate=0.5)
 
+    def test_dropout_stream_is_pinned(self):
+        # The dropout stream is that of one float64 draw over the whole
+        # (B, k, 3d) shape, kept below keep: a change to it changes every
+        # trained model, so it must show here.
+        rng = np.random.default_rng(3)
+        params = init_params(DIMS, AttentionVariant.SOFT, 2)
+        batch = stack_examples([random_encoded(rng, DIMS) for _ in range(3)])
+        for seed in (0, 11):
+            drawn = np.random.default_rng(seed)
+            trace = forward(params, batch, mode="train", dropout_rate=0.25, rng=drawn)
+            reference = np.random.default_rng(seed)
+            kept = reference.random((3, DIMS.k_max, 3 * DIMS.d)) < 0.75
+            assert np.array_equal(trace.dropout_scale != 0, kept)
+            assert (trace.dropout_scale[kept] == np.float32(1) / np.float32(0.75)).all()
+            assert drawn.bit_generator.state == reference.bit_generator.state
+
 
 def full_sort(scores, k, exclude):
     """Reference ranking: every id sorted by score, then id, exclusions dropped."""

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codevec.ast_tree import AstBuilder, read_sexpr_asts
+from codevec.errors import DatasetFormatError
 from codevec.minij import parse_methods
 from codevec.paths import (DOWN, UP, AstPath, ExtractionLimits, PathContext,
                            extract_path_contexts, path_from_string,
@@ -230,6 +232,14 @@ class TestPathStrings:
         path = AstPath(kinds, (UP, UP) + (DOWN,) * 5)
         assert path_to_string(path) == ("Name^FieldAccess^Foreach_Block_IfStmt"
                                         "_Block_Return_BooleanExpr")
+
+    @pytest.mark.parametrize("kind", ["Re,turn", ",", "_Ret", "A_", "A^^B", "A_^B"])
+    def test_kind_that_breaks_path_strings(self, kind):
+        # The tree reads; its method fails, as one with a bad label does.
+        (ast,) = read_sexpr_asts(f'(MethodDecl (Name "f") (Block ({kind} "x")))')
+        with pytest.raises(DatasetFormatError,
+                           match=f"^kind {re.escape(repr(kind))} holds ','"):
+            method_to_example(ast, ExtractionLimits(8, 2))
 
     def test_round_trip_random_paths(self):
         rng = np.random.default_rng(9)

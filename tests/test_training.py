@@ -199,6 +199,59 @@ class TestGradients:
             assert rows.shape == (len(ids), DIMS.d)
         assert (grads.by_name["tags_vocab"][PAD_ID] == 0).all()
 
+    @pytest.mark.parametrize("ids", ["duplicates", "zipf"])
+    def test_row_sums_match_float64_add_at(self, ids):
+        # Each table row's gradient is the float64 sum of its slots' rows,
+        # rounded once to float32. The slots' own rows come from a second
+        # backward over tables in which every slot has ids of its own that
+        # hold the same rows, so forward, dropout and the per-slot rows
+        # are the same. 'duplicates' is long-methods-like: 75 distinct
+        # values over 7,200 rows. 'zipf' is mostly unique ids over 50k,
+        # with padded slots and a few valid slots that hold PAD.
+        rng = np.random.default_rng(41)
+        B, k = 18, 200
+        if ids == "duplicates":
+            size = 77
+            sources, paths, targets = (rng.integers(2, size, (B, k)) for _ in range(3))
+            mask = np.ones((B, k))
+        else:
+            size = 50_000
+            sources, paths, targets = (np.minimum(rng.zipf(1.1, (B, k)) + 1, size - 1)
+                                       for _ in range(3))
+            mask = (np.arange(k) < rng.integers(100, k + 1, (B, 1))).astype(np.float64)
+            sources[0, :5] = PAD_ID
+        dims = ModelDims(d=16, num_values=size, num_paths=size, num_tags=6, k_max=k)
+        params = init_params(dims, AttentionVariant.SOFT, 3)
+        labels = rng.integers(2, 6, B)
+        slot_values = np.stack([sources, targets], -1).ravel()  # source, target per slot
+        slot_paths = paths.ravel()
+        own = np.arange(B * k).reshape(B, k)
+        wide = replace(
+            params, dims=replace(dims, num_values=2 + 2 * B * k, num_paths=2 + B * k),
+            value_vocab=np.concatenate([params.value_vocab[:2],
+                                        params.value_vocab[slot_values]]),
+            path_vocab=np.concatenate([params.path_vocab[:2], params.path_vocab[slot_paths]]))
+
+        def row_gradients(params, example):
+            trace = forward(params, example, mode="train", dropout_rate=0.25,
+                            rng=np.random.default_rng(7))
+            return backward(params, example, trace, example.label_id).rows
+
+        got = row_gradients(params, EncodedExample(labels, sources, paths, targets, mask))
+        per_slot = row_gradients(wide, EncodedExample(labels, 2 + 2 * own, 2 + own,
+                                                      3 + 2 * own, mask))
+        for name, slot_ids in (("value_vocab", slot_values), ("path_vocab", slot_paths)):
+            own_ids, own_rows = per_slot[name]
+            original = slot_ids[own_ids - 2]
+            reference = np.zeros((size, dims.d))
+            np.add.at(reference, original, own_rows.astype(np.float64))
+            table_ids, rows = got[name]
+            assert PAD_ID not in table_ids and (np.diff(table_ids) > 0).all()
+            assert table_ids.tolist() == sorted(set(original.tolist()) - {PAD_ID})
+            expected = reference[table_ids]
+            assert rows.dtype == np.float32
+            assert (np.abs(rows - expected) <= np.finfo(np.float32).eps * np.abs(expected)).all()
+
     def test_batch_gradient_is_sum_of_examples(self):
         # One backward over a stacked batch equals the sum of per-example
         # backwards, for every variant, with and without dropout. The batch
