@@ -1,5 +1,5 @@
 """Command-line surface: extract, train, predict, eval, nearest, combine,
-analogy. Exit codes: 1 usage, 2 data, 3 numeric failure."""
+analogy. Exit codes: 1 usage, 2 data, 3 numeric failure, 4 out of memory."""
 
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from .vectors import NameVectorTable
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_MEMORY = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -254,6 +255,9 @@ def main(argv=None) -> int:
     except (CodevecError, OSError, ValueError) as exc:
         print(f"codevec: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:
+        print(f"codevec: out of memory: {exc}", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

@@ -81,10 +81,6 @@ class EncodedExample:
     targets: np.ndarray
     mask: np.ndarray  # (k_max,) float, 1.0 for valid slots
 
-    @property
-    def trainable(self) -> bool:
-        return bool(self.mask.any())
-
 
 def stack_examples(examples: list[EncodedExample]) -> EncodedExample:
     """The examples as one batch with a leading batch axis."""
@@ -180,13 +176,25 @@ def encode_example(raw: RawExample, vocabs: Vocabs, k_max: int,
     return EncodedExample(vocabs.tags.id_of(raw.label), sources, paths, targets, mask)
 
 
-def encode_dataset(examples: list[RawExample], vocabs: Vocabs, k_max: int,
-                   seed: int, ablation: AblationMask,
-                   epoch: int = 0) -> list[EncodedExample]:
-    """Encode every example; one longer than k_max samples with `example_rng(seed, i, epoch)`."""
-    return [encode_example(raw, vocabs, k_max, example_rng(seed, i, epoch)
-                           if len(raw.contexts) > k_max else None, ablation)
-            for i, raw in enumerate(examples)]
+def encode_batch(examples: list[RawExample], positions: list[int], vocabs: Vocabs, k_max: int,
+                 seed: int, ablation: AblationMask, epoch: int = 0) -> EncodedExample:
+    """The examples at `positions`, encoded in that order and stacked; one
+    longer than k_max samples with `example_rng(seed, position, epoch)`."""
+    return stack_examples([
+        encode_example(examples[i], vocabs, k_max, example_rng(seed, i, epoch)
+                       if len(examples[i].contexts) > k_max else None, ablation)
+        for i in positions])
+
+
+def encode_batches(examples: list[RawExample], positions: Iterable[int], size: int,
+                   vocabs: Vocabs, k_max: int, seed: int, ablation: AblationMask,
+                   epoch: int = 0) -> Iterator[tuple[list[int], EncodedExample]]:
+    """The `positions` whose examples have contexts, in order, in runs of
+    `size`: each run with its `encode_batch`, encoded when it is drawn."""
+    kept = [i for i in positions if examples[i].contexts]
+    for start in range(0, len(kept), size):
+        run = kept[start:start + size]
+        yield run, encode_batch(examples, run, vocabs, k_max, seed, ablation, epoch)
 
 
 # --- dataset line format ---------------------------------------------------

@@ -6,8 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import (EncodedExample, RawExample, Vocabs, encode_dataset, split_subtokens,
-                     stack_examples)
+from .corpus import RawExample, Vocabs, encode_batches, split_subtokens
 from .model import ModelParams, forward
 
 UNK_SUBTOKEN = "unk"
@@ -72,29 +71,26 @@ class Metrics:
                 f"exact={self.exact_match:.4f} n={self.count}")
 
 
-def evaluate_encoded(params: ModelParams, encoded: list[EncodedExample],
-                     labels: list[str], vocabs: Vocabs,
-                     per_example: list | None = None) -> Metrics:
-    """Score top-1 predictions for already-encoded examples. Examples with
-    no contexts cannot be predicted and count as all-false-negative. The
-    top-1 tag is the first maximum of q, so the lowest id wins ties, as in
-    `model.top_k`. The others are stacked EVAL_BATCH at a time, in order.
+def evaluate_encoded(params: ModelParams, batches, dataset: list[RawExample],
+                     vocabs: Vocabs, per_example: list | None = None) -> Metrics:
+    """Score top-1 predictions over `dataset` from the (positions, batch)
+    pairs of `corpus.encode_batches`, read once in order. An example in no
+    batch, as one without contexts, counts as all-false-negative. The top-1
+    tag is the first maximum of q: the lowest id wins ties, as in `model.top_k`.
 
     When `per_example` is a list, (true, predicted, tp, fp, fn) tuples are
     appended to it in input order.
     """
-    predictions = [""] * len(encoded)
-    trainable = [i for i, example in enumerate(encoded) if example.trainable]
-    for start in range(0, len(trainable), EVAL_BATCH):
-        chunk = trainable[start:start + EVAL_BATCH]
-        q = forward(params, stack_examples([encoded[i] for i in chunk])).q
-        for i, tag in zip(chunk, np.argmax(q, axis=-1).tolist()):
+    predictions = [""] * len(dataset)
+    for positions, batch in batches:
+        q = forward(params, batch).q
+        for i, tag in zip(positions, np.argmax(q, axis=-1).tolist()):
             predictions[i] = vocabs.tags.entry(tag)
     metrics = Metrics()
-    for predicted, label in zip(predictions, labels):
-        counts = metrics.add(predicted, label)
+    for predicted, raw in zip(predictions, dataset):
+        counts = metrics.add(predicted, raw.label)
         if per_example is not None:
-            per_example.append((label, predicted, *counts))
+            per_example.append((raw.label, predicted, *counts))
     return metrics
 
 
@@ -103,6 +99,6 @@ def evaluate(params: ModelParams, dataset: list[RawExample], vocabs: Vocabs,
     """Evaluate a trained model over a raw dataset, encoded with the
     model's ablation (deterministic: context subsampling uses per-example
     seeded generators); see `evaluate_encoded` for `per_example`."""
-    encoded = encode_dataset(dataset, vocabs, params.dims.k_max, seed, params.ablation)
-    return evaluate_encoded(params, encoded, [raw.label for raw in dataset],
-                            vocabs, per_example)
+    batches = encode_batches(dataset, range(len(dataset)), EVAL_BATCH, vocabs,
+                             params.dims.k_max, seed, params.ablation)
+    return evaluate_encoded(params, batches, dataset, vocabs, per_example)

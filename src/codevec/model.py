@@ -152,8 +152,8 @@ def forward(params: ModelParams, example: EncodedExample, mode: str = "infer",
             dropout_rate: float = 0.0, rng: np.random.Generator | None = None,
             ) -> ForwardTrace:
     """Compute the full forward pass for one encoded example, or for a
-    batch stacked by `corpus.stack_examples`: its arrays carry a leading
-    batch axis, and so does every array of the trace.
+    batch from `corpus.encode_batch`: its arrays carry a leading batch
+    axis, and so does every array of the trace.
 
     In train mode, inverted dropout at the given rate scales the context
     vectors (kept entries by 1/keep); `rng` draws one float64 per entry.

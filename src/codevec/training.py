@@ -9,9 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import (ABLATIONS, PAD_ID, AblationMask, RawExample, Vocabs,
-                     EncodedExample, encode_dataset, stack_examples)
+                     EncodedExample, encode_batches)
 from .errors import DatasetFormatError, TrainingError
-from .metrics import evaluate_encoded
+from .metrics import EVAL_BATCH, evaluate_encoded
 from .model import (AttentionVariant, ForwardTrace, ModelDims, ModelParams,
                     check_single_precision, forward, init_params)
 
@@ -225,9 +225,8 @@ def train(train_set: list[RawExample], val_set: list[RawExample], vocabs: Vocabs
     shuffle_rng = np.random.default_rng(config.seed)
     dropout_rng = np.random.default_rng(config.seed + 1)
 
-    val_encoded = encode_dataset(val_set, vocabs, config.k_max, config.seed,
-                                 params.ablation)
-    val_labels = [raw.label for raw in val_set]
+    val_batches = list(encode_batches(val_set, range(len(val_set)), EVAL_BATCH, vocabs,
+                                      config.k_max, config.seed, params.ablation))
 
     history: list[EpochStats] = []
     best_f1 = -1.0
@@ -237,15 +236,10 @@ def train(train_set: list[RawExample], val_set: list[RawExample], vocabs: Vocabs
         log(f"warning: {untrainable} examples have no contexts and are skipped")
 
     for epoch in range(1, config.max_epochs + 1):
-        encoded = encode_dataset(train_set, vocabs, config.k_max, config.seed,
-                                 params.ablation, epoch=epoch)
-        order = shuffle_rng.permutation(len(encoded))
-        order = [i for i in order if encoded[i].trainable]
-
+        order = shuffle_rng.permutation(len(train_set)).tolist()
         epoch_loss = 0.0
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start:start + config.batch_size]
-            stacked = stack_examples([encoded[i] for i in batch])
+        for batch, stacked in encode_batches(train_set, order, config.batch_size, vocabs,
+                                             config.k_max, config.seed, params.ablation, epoch):
             trace = forward(params, stacked, mode="train",
                             dropout_rate=config.dropout_rate, rng=dropout_rng)
             losses = loss(trace, stacked.label_id)
@@ -260,8 +254,8 @@ def train(train_set: list[RawExample], val_set: list[RawExample], vocabs: Vocabs
                       state, config)
 
         check_single_precision(params, f" after epoch {epoch}")
-        metrics = evaluate_encoded(params, val_encoded, val_labels, vocabs)
-        stats = EpochStats(epoch, epoch_loss / max(len(order), 1),
+        metrics = evaluate_encoded(params, val_batches, val_set, vocabs)
+        stats = EpochStats(epoch, epoch_loss / max(len(train_set) - untrainable, 1),
                            metrics.precision, metrics.recall, metrics.f1)
         history.append(stats)
         if log:
@@ -269,8 +263,12 @@ def train(train_set: list[RawExample], val_set: list[RawExample], vocabs: Vocabs
         if checkpoint:
             checkpoint(epoch, params)
         if metrics.f1 > best_f1:
+            if best_epoch == 0:  # the first best epoch makes the one kept copy
+                best_params = params.copy()
+            else:
+                for name, kept in best_params.groups().items():
+                    np.copyto(kept, getattr(params, name))
             best_f1 = metrics.f1
-            best_params = params.copy()
             best_epoch = epoch
         elif epoch - best_epoch >= config.patience:
             break

@@ -12,6 +12,15 @@ from pathlib import Path
 
 import pytest
 
+from codevec.corpus import RawExample, build_vocabs
+from codevec.metrics import evaluate
+from codevec.minij import parse_methods
+from codevec.paths import ExtractionLimits
+from codevec.pipeline import method_to_example
+from codevec.training import TrainConfig, train
+
+from conftest import toy_minij_corpus
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # Probed function name -> the parameters its probe reads from the call.
@@ -121,3 +130,35 @@ def test_every_name_perfbench_takes_from_codevec_resolves():
             "normalize_value", "PAD_ID", "UNK_ID", "corpus.read_dataset",
             "model.forward"} <= names
     assert [ref for ref in sorted(references) if not resolves(*ref[1:])] == []
+
+
+def test_the_spans_see_every_encode_and_validation(spans):
+    # Training encodes each example with contexts once per epoch, when its
+    # batch is drawn; validation once per run; evaluate once per call. The
+    # probe of each encode fits its call. Nothing calls the gradient
+    # accumulator any more.
+    examples = [method_to_example(ast, ExtractionLimits(8, 2))
+                for ast in parse_methods("\n".join(toy_minij_corpus()))]
+    empty = RawExample("emptyBody", [])
+    train_set = examples[::2] + [empty]
+    val_set = [empty] + examples[1::4]
+    eval_set = examples[1::2] + [empty]
+    config = TrainConfig(dim=8, k_max=20, max_epochs=3, patience=3, seed=2)
+    assert any(len(raw.contexts) > config.k_max for raw in train_set)
+
+    vocabs = build_vocabs(train_set)
+    tracer = spans.Tracer("test")
+    tracer.install()
+    try:
+        params, history = train(train_set, val_set, vocabs, config)
+        evaluate(params, eval_set, vocabs)
+    finally:
+        tracer.uninstall()
+    trained, validated, evaluated = (sum(1 for raw in dataset if raw.contexts)
+                                     for dataset in (train_set, val_set, eval_set))
+    stats = tracer.layer_stats()
+    assert tracer.missing() == set()
+    assert stats["corpus.encode"]["calls"] == trained * len(history) + validated + evaluated
+    assert stats["training.val_eval"]["calls"] == len(history) == config.max_epochs
+    assert stats.get("training.grad_accum", {"calls": 0})["calls"] == 0
+    assert tracer.counts["corpus.contexts_truncated"] > 0

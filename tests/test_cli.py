@@ -1,14 +1,19 @@
 import contextlib
 import io
+import os
 import re
 import struct
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import codevec
 from codevec.cli import main
 from codevec.corpus import (ABLATIONS, RawExample, encode_example, example_rng,
                             format_vocabs, load_dataset, sample_contexts,
@@ -189,6 +194,29 @@ class TestVocab:
 
 
 class TestTrainPredictEval:
+    def test_out_of_memory_is_one_line_and_exit_4(self, tmp_path):
+        # A child process caps its own address space before it imports
+        # codevec, so the 60 GiB tables of --dim 10**9 fail to allocate
+        # instead of being overcommitted.
+        resource = pytest.importorskip("resource")
+        data = tmp_path / "three.c2v"
+        data.write_text("getX x,NameExpr^Return,x\nsetY y,NameExpr^Assign,y\nnone\n",
+                        encoding="utf-8")
+        limit = 3 << 30
+        script = (f"import resource, sys; "
+                  f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+                  f"from codevec.cli import main; sys.exit(main(sys.argv[1:]))")
+        argv = ["train", "--train", str(data), "-o", str(tmp_path / "m.bin"),
+                "--dim", str(10**9), "--epochs", "1"]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(codevec.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 4, done.stderr
+        assert done.stdout == ""
+        assert re.fullmatch(r"codevec: out of memory: [^\n]+\n", done.stderr), done.stderr
+        assert not (tmp_path / "m.bin").exists()
+
     def test_train_logs_epochs(self, dataset_file, tmp_path, capsys):
         out = tmp_path / "m.bin"
         code = main(["train", "--train", str(dataset_file), "-o", str(out),

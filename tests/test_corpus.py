@@ -2,11 +2,13 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codevec.corpus import (ABLATIONS, PAD_ID, UNK_ID, RawExample, Vocabs,
-                            build_vocabs, encode_dataset, encode_example, example_rng,
-                            format_example, format_vocabs, load_dataset, parse_example,
-                            parse_vocabs, read_dataset, split_subtokens,
+                            build_vocabs, encode_batch, encode_batches, encode_example,
+                            example_rng, format_example, format_vocabs, load_dataset,
+                            parse_example, parse_vocabs, read_dataset, split_subtokens,
                             write_dataset)
 from codevec.errors import DatasetFormatError
 from codevec.paths import PathContext, path_from_string
@@ -139,25 +141,51 @@ class TestEncode:
         vocabs = small_vocabs()
         encoded = encode_example(RawExample("get", []), vocabs, 3,
                                  example_rng(0, 0))
-        assert not encoded.trainable
         assert not encoded.mask.any()
 
-    def test_dataset_ids_match_explicit_generators(self):
-        # encode_dataset builds a generator only for an example longer than
-        # k_max; every example still encodes as with its own example_rng.
+    @given(data=st.data(), k_max=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           epoch=st.integers(0, 3), ablation=st.sampled_from(sorted(ABLATIONS)))
+    @settings(max_examples=100, deadline=None)
+    def test_dataset_ids_match_explicit_generators(self, data, k_max, seed, epoch,
+                                                   ablation):
+        # Examples shorter than, as long as and longer than k_max, and
+        # without contexts, cut into batches in any way: each row is the
+        # example at its position encoded alone with its own example_rng.
         vocabs = small_vocabs()
-        rng = np.random.default_rng(5)
-        values = ["x", "y", "z", "7", "unseen"]
-        examples = [RawExample("get", [ctx(str(rng.choice(values)), EXAMPLE_PATH,
-                                           str(rng.choice(values))) for _ in range(n)])
-                    for n in (0, 3, 4, 9, 1, 12, 4, 5)]
-        for ablation in ABLATIONS.values():
-            encoded = encode_dataset(examples, vocabs, 4, 11, ablation, epoch=2)
-            for i, (raw, got) in enumerate(zip(examples, encoded)):
-                want = encode_example(raw, vocabs, 4, example_rng(11, i, 2), ablation)
-                for name in ("label_id", "sources", "paths", "targets", "mask"):
-                    assert np.array_equal(getattr(got, name), getattr(want, name)), \
-                        f"example {i}: {name}"
+        lengths = data.draw(st.lists(st.sampled_from([0, 1, k_max, k_max + 1])
+                                     | st.integers(0, 3 * k_max), min_size=1, max_size=8))
+        component = st.sampled_from(["x", "y", "z", "7", "unseen"])
+        path = st.sampled_from([EXAMPLE_PATH, "A^M_B", "Q^R_S"])
+        examples = [RawExample("get", [ctx(data.draw(component), data.draw(path),
+                                           data.draw(component)) for _ in range(n)])
+                    for n in lengths]
+        batches = data.draw(st.lists(st.lists(st.integers(0, len(examples) - 1),
+                                              min_size=1, max_size=6), min_size=1, max_size=4))
+        for positions in batches:
+            got = encode_batch(examples, positions, vocabs, k_max, seed,
+                               ABLATIONS[ablation], epoch)
+            for row, i in enumerate(positions):
+                want = encode_example(examples[i], vocabs, k_max,
+                                      example_rng(seed, i, epoch), ABLATIONS[ablation])
+                assert got.label_id[row] == want.label_id
+                for name in ("sources", "paths", "targets", "mask"):
+                    a, b = getattr(got, name)[row], getattr(want, name)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), \
+                        f"position {i}: {name}"
+
+    def test_batches_are_runs_of_the_positions_with_contexts(self):
+        vocabs = small_vocabs()
+        examples = [RawExample("get", [ctx("x", EXAMPLE_PATH, "7")] * n)
+                    for n in (2, 0, 5, 1, 0, 3, 7, 4)]
+        order = [6, 1, 0, 4, 3, 7, 2, 5]
+        runs = list(encode_batches(examples, order, 3, vocabs, 4, 9, ABLATIONS["full"], 2))
+        assert [run for run, _ in runs] == [[6, 0, 3], [7, 2, 5]]
+        for run, batch in runs:
+            want = encode_batch(examples, run, vocabs, 4, 9, ABLATIONS["full"], 2)
+            for name in ("label_id", "sources", "paths", "targets", "mask"):
+                assert np.array_equal(getattr(batch, name), getattr(want, name))
+        assert list(encode_batches(examples, [1, 4], 3, vocabs, 4, 9,
+                                   ABLATIONS["full"])) == []
 
     def test_mask_invariant(self):
         vocabs = small_vocabs()

@@ -11,7 +11,7 @@ import numpy as np
 
 from codevec.ast_tree import read_sexpr_asts
 from codevec.cli import main
-from codevec.corpus import (ABLATIONS, build_vocabs, encode_dataset, encode_example,
+from codevec.corpus import (ABLATIONS, build_vocabs, encode_batch, encode_example,
                             example_rng, format_example, read_dataset, write_dataset)
 from codevec.minij import KEYWORDS, parse_methods
 from codevec.model import load_model
@@ -107,7 +107,7 @@ def examples_of(texts: list[str]):
 
 
 def assert_same_ids(got, expected, fields=("sources", "paths", "targets", "mask")):
-    assert got.label_id == expected.label_id
+    assert np.array_equal(got.label_id, expected.label_id)
     for field in fields:
         a, b = getattr(got, field), getattr(expected, field)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
@@ -122,12 +122,14 @@ def test_two_routes_to_the_same_ids():
     buffer.seek(0)
     read = list(read_dataset(buffer))
     direct_vocabs, read_vocabs = build_vocabs(extracted), build_vocabs(read)
+    assert len(read) == len(extracted)
+    assert any(len(example.contexts) > 20 for example in extracted)
+    positions = list(range(len(extracted)))
     for ablation in ABLATIONS.values():
         for epoch in range(3):
-            direct = encode_dataset(extracted, direct_vocabs, 20, 7, ablation, epoch)
-            routed = encode_dataset(read, read_vocabs, 20, 7, ablation, epoch)
-            for got, expected in zip(routed, direct, strict=True):
-                assert_same_ids(got, expected)
+            direct = encode_batch(extracted, positions, direct_vocabs, 20, 7, ablation, epoch)
+            routed = encode_batch(read, positions, read_vocabs, 20, 7, ablation, epoch)
+            assert_same_ids(routed, direct)
 
 
 def test_renaming_under_no_values(tmp_path):

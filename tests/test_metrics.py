@@ -5,17 +5,17 @@ from hypothesis import strategies as st
 
 from dataclasses import astuple
 
-from codevec.corpus import (EncodedExample, RawExample, build_vocabs, encode_example,
+from codevec.corpus import (RawExample, build_vocabs, encode_batch, encode_example,
                             example_rng)
 from codevec.metrics import EVAL_BATCH, Metrics, evaluate, evaluate_encoded, score_pair
 from codevec.minij import parse_methods
 from codevec.model import AttentionVariant, ModelDims, forward, init_params
 
-from codevec.paths import ExtractionLimits
+from codevec.paths import ExtractionLimits, PathContext
 from codevec.pipeline import method_to_example
 from codevec.training import TrainConfig, train
 
-from conftest import random_encoded, tag_vocabs, toy_minij_corpus
+from conftest import random_path, toy_minij_corpus
 
 
 class TestScorePair:
@@ -128,13 +128,20 @@ class TestEvaluate:
         assert metrics.exact_match == pytest.approx(recount.exact_match)
 
     def test_agrees_with_evaluate_encoded(self, fitted):
+        # Batches cut at other sizes than EVAL_BATCH, handed over as a
+        # generator, score as `evaluate` does; the empty example is in none.
         params, examples, vocabs = fitted
-        encoded = [encode_example(raw, vocabs, params.dims.k_max,
-                                  example_rng(0, i))
-                   for i, raw in enumerate(examples)]
-        direct = evaluate_encoded(params, encoded,
-                                  [e.label for e in examples], vocabs)
-        assert evaluate(params, examples, vocabs).f1 == pytest.approx(direct.f1)
+        examples = examples[:20] + [RawExample("emptyBody", [])] + examples[20:]
+        positions = [i for i, raw in enumerate(examples) if raw.contexts]
+        cuts = [0, 1, 8, 30, len(positions)]
+        chunks = [positions[a:b] for a, b in zip(cuts, cuts[1:])]
+        batches = ((chunk, encode_batch(examples, chunk, vocabs, params.dims.k_max, 4,
+                                        params.ablation)) for chunk in chunks)
+        direct_rows, rows = [], []
+        direct = evaluate_encoded(params, batches, examples, vocabs, per_example=direct_rows)
+        metrics = evaluate(params, examples, vocabs, seed=4, per_example=rows)
+        assert astuple(direct) == astuple(metrics)
+        assert direct_rows == rows
 
     def test_deterministic(self, fitted):
         params, examples, vocabs = fitted
@@ -155,28 +162,39 @@ class TestEvaluate:
         assert metrics.tp == 0
 
     def test_batched_matches_per_example_loop(self):
-        # 70 examples, 3 of them empty, span three stacked batches; the
-        # counts and the rows, in input order, are those of one forward
-        # and one first-maximum argmax per example.
+        # 70 examples, 3 of them empty and some longer than k_max, span
+        # three stacked batches; the counts and the rows, in input order,
+        # are those of one encode, one forward and one first-maximum argmax
+        # per example.
         rng = np.random.default_rng(41)
-        dims = ModelDims(d=8, num_values=20, num_paths=15, num_tags=12, k_max=10)
-        params = init_params(dims, AttentionVariant.SOFT, 6)
-        vocabs = tag_vocabs(dims.num_tags)
-        empty = EncodedExample(1, *(np.zeros(dims.k_max, np.int64) for _ in range(3)),
-                               np.zeros(dims.k_max))
-        encoded = [random_encoded(rng, dims) for _ in range(67)]
+        k_max = 10
+        labels = [f"tag{i}" for i in rng.integers(2, 12, 70)]
+        examples = [RawExample(label, [random_context(rng)
+                                       for _ in range(rng.integers(1, 2 * k_max))])
+                    for label in labels]
         for i in (0, 33, 69):
-            encoded.insert(i, empty)
-        labels = [vocabs.tags.entry(int(i)) for i in rng.integers(2, dims.num_tags, 70)]
-        assert len(encoded) > 2 * EVAL_BATCH
+            examples[i] = RawExample(labels[i], [])
+        vocabs = build_vocabs(examples)
+        dims = ModelDims(d=8, num_values=len(vocabs.values), num_paths=len(vocabs.paths),
+                         num_tags=len(vocabs.tags), k_max=k_max)
+        params = init_params(dims, AttentionVariant.SOFT, 6)
+        assert len(examples) > 2 * EVAL_BATCH
+        assert any(len(raw.contexts) > k_max for raw in examples)
 
         expected, expected_rows = Metrics(), []
-        for example, label in zip(encoded, labels):
-            predicted = (vocabs.tags.entry(int(np.argmax(forward(params, example).q)))
-                         if example.trainable else "")
-            expected_rows.append((label, predicted, *expected.add(predicted, label)))
+        for i, raw in enumerate(examples):
+            predicted = ""
+            if raw.contexts:
+                encoded = encode_example(raw, vocabs, k_max, example_rng(5, i))
+                predicted = vocabs.tags.entry(int(np.argmax(forward(params, encoded).q)))
+            expected_rows.append((raw.label, predicted,
+                                  *expected.add(predicted, raw.label)))
         rows = []
-        metrics = evaluate_encoded(params, encoded, labels, vocabs, per_example=rows)
+        metrics = evaluate(params, examples, vocabs, seed=5, per_example=rows)
         assert astuple(metrics) == astuple(expected)
         assert rows == expected_rows
         assert 0 < metrics.tp and metrics.exact < metrics.count
+
+
+def random_context(rng: np.random.Generator) -> PathContext:
+    return PathContext(f"v{rng.integers(12)}", random_path(rng), f"v{rng.integers(12)}")

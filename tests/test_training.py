@@ -8,8 +8,8 @@ from codevec.corpus import (ABLATIONS, PAD_ID, EncodedExample, RawExample,
 from codevec.errors import DatasetFormatError, TrainingError
 from codevec.metrics import evaluate
 from codevec.minij import parse_methods
-from codevec.model import (AttentionVariant, ModelDims, forward, init_params,
-                           load_model, save_model)
+from codevec.model import (AttentionVariant, ModelDims, ModelParams, forward,
+                           init_params, load_model, save_model)
 from codevec.paths import ExtractionLimits
 from codevec.pipeline import method_to_example
 from codevec.training import (ADAM_EPSILON, AdamState, Gradients,
@@ -551,6 +551,36 @@ class TestDescentAndTraining:
         assert loaded.ablation == config.ablation
         metrics = evaluate(loaded, val_set, loaded_vocabs, seed=config.seed)
         assert metrics.f1 == best_f1
+
+    def test_best_epoch_kept_in_one_copy(self, monkeypatch):
+        # The first improving epoch copies the parameters once; each later
+        # improvement overwrites that copy, which never aliases the live
+        # parameters that `checkpoint` is handed.
+        examples = self.toy_dataset()
+        train_set, val_set = examples[::2], examples[1::2]
+        vocabs = build_vocabs(train_set)
+        config = TrainConfig(learning_rate=1e-2, dim=8, k_max=20, max_epochs=10,
+                             patience=10, seed=4)
+        snapshots, live = {}, []
+
+        def checkpoint(epoch, params):
+            snapshots[epoch] = {n: a.copy() for n, a in params.groups().items()}
+            live.append(params)
+
+        copies = []
+        real_copy = ModelParams.copy
+        monkeypatch.setattr(ModelParams, "copy",
+                            lambda self: copies.append(self) or real_copy(self))
+        params, history = train(train_set, val_set, vocabs, config, checkpoint=checkpoint)
+        f1s = [h.val_f1 for h in history]
+        improving = [i for i, f1 in enumerate(f1s) if f1 > max(f1s[:i], default=-1.0)]
+        assert len(improving) >= 2 and improving[-1] < len(f1s) - 1
+        assert len(copies) == 1
+        best = history[improving[-1]].epoch
+        assert all(p is live[0] for p in live)
+        for name, arr in params.groups().items():
+            assert np.array_equal(arr, snapshots[best][name]), name
+            assert not np.shares_memory(arr, live[0].groups()[name]), name
 
     def test_non_finite_learning_rate_rejected(self):
         for rate in (float("nan"), float("inf")):
