@@ -7,6 +7,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
@@ -123,10 +124,9 @@ def build_vocabs(examples: Iterable[RawExample], max_values: int = 50_000,
     tag_counts: Counter = Counter()
     for example in examples:
         tag_counts[example.label] += 1
-        for ctx in example.contexts:
-            value_counts[ctx.source_value] += 1
-            value_counts[ctx.target_value] += 1
-            path_counts[ctx.path.text] += 1
+        value_counts.update(map(attrgetter("source_value"), example.contexts))
+        value_counts.update(map(attrgetter("target_value"), example.contexts))
+        path_counts.update(map(attrgetter("path.text"), example.contexts))
     return Vocabs(
         values=Vocab(_top_entries(value_counts, max_values)),
         paths=Vocab(_top_entries(path_counts, max_paths)),
@@ -222,7 +222,7 @@ def parse_example(line: str, lineno: int = 0,
     contexts = []
     for chunk in fields[1:]:
         pieces = chunk.split(",")
-        if len(pieces) != 3 or not all(pieces):
+        if len(pieces) != 3 or "" in pieces:
             raise DatasetFormatError(f"line {lineno}: malformed context {chunk!r}")
         path = paths.get(pieces[1])
         if path is None:
@@ -282,18 +282,20 @@ def format_vocabs(vocabs: Vocabs) -> str:
 
 
 def parse_vocabs(text: str) -> Vocabs:
+    """Inverse of format_vocabs: LF-split lines, each cut at its first and last tab."""
     buckets: dict[str, list[tuple[str, int]]] = {k: [] for k in _KIND_ORDER}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line:
             continue
-        fields = line.split("\t")
-        if len(fields) != 3 or fields[0] not in buckets:
+        kind, _, rest = line.partition("\t")
+        entry, tab, count_text = rest.rpartition("\t")
+        if not tab or kind not in buckets:
             raise DatasetFormatError(f"vocab line {lineno}: malformed entry")
         try:
-            count = int(fields[2])
+            count = int(count_text)
         except ValueError:
             raise DatasetFormatError(f"vocab line {lineno}: bad count") from None
-        buckets[fields[0]].append((fields[1], count))
+        buckets[kind].append((entry, count))
     return Vocabs(values=Vocab(buckets["value"]), paths=Vocab(buckets["path"]),
                   tags=Vocab(buckets["tag"]))
 

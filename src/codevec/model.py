@@ -94,10 +94,20 @@ class ForwardTrace:
     attention_kind: str           # 'soft' (element-wise too) | 'uniform' | 'hard'
 
 
+# Elements per float64 draw of `_glorot`: the most it holds beyond its result.
+INIT_BLOCK = 1 << 16
+
+
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """`rng.uniform(-bound, bound, size=shape)` in float32, drawn by blocks."""
     fan_in, fan_out = (shape[0], shape[1]) if len(shape) == 2 else (1, shape[0])
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
+    out = np.empty(shape, dtype=np.float32)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, INIT_BLOCK):
+        flat[start:start + INIT_BLOCK] = rng.uniform(
+            -bound, bound, size=min(INIT_BLOCK, flat.size - start))
+    return out
 
 
 def _shapes(dims: ModelDims, variant: AttentionVariant) -> dict[str, tuple[int, ...]]:
@@ -120,8 +130,7 @@ def init_params(dims: ModelDims, variant: AttentionVariant, seed: int,
     Single precision, as the model file stores it: training, inference
     and `save_model` all see the same values."""
     rng = np.random.default_rng(seed)
-    groups = {name: _glorot(rng, shape).astype(np.float32)
-              for name, shape in _shapes(dims, variant).items()}
+    groups = {name: _glorot(rng, shape) for name, shape in _shapes(dims, variant).items()}
     for name in ("value_vocab", "path_vocab", "tags_vocab"):
         groups[name][PAD_ID] = 0.0
     return ModelParams(dims, variant, **{"W": None, **groups}, ablation=ablation)

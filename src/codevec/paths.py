@@ -40,8 +40,16 @@ class AstPath:
             parts.append(kind)
         object.__setattr__(self, "text", "".join(parts))
 
+    @classmethod
+    def _with_text(cls, kinds: tuple[str, ...], directions: tuple[str, ...],
+                   text: str) -> AstPath:
+        """A path whose caller holds its valid shape and `text`: no check, no render."""
+        path = object.__new__(cls)
+        path.__dict__.update(kinds=kinds, directions=directions, text=text)
+        return path
 
-@dataclass(frozen=True)
+
+@dataclass(slots=True)
 class PathContext:
     source_value: str
     path: AstPath
@@ -78,37 +86,40 @@ def extract_path_contexts(ast: Ast, limits: ExtractionLimits) -> list[PathContex
     shared = {}  # (kinds up, kinds down) -> their one AstPath
     out = []
     for left in terminals:
-        ups, branch = (nodes[left].kind,), left
+        ups, up_text, branch = (nodes[left].kind,), nodes[left].kind, left
         for steps_up in range(1, min(limits.max_length, ast.depth[left] + 1)):
             pivot = parent[branch]
             ups += (nodes[pivot].kind,)
+            up_text += "^" + ups[-1]
             budget = limits.max_length - steps_up
             first = child_index[branch] + 1
             for right in nodes[pivot].children[first:first + limits.max_width]:
                 if (right, budget) not in below:
                     below[right, budget] = _descend(nodes, values, right, budget)
-                for downs, value in below[right, budget]:
+                for downs, down_text, value in below[right, budget]:
                     path = shared.get((ups, downs))
                     if path is None:
-                        path = shared[ups, downs] = AstPath(
-                            ups + downs, (UP,) * steps_up + (DOWN,) * len(downs))
+                        path = shared[ups, downs] = AstPath._with_text(
+                            ups + downs, (UP,) * steps_up + (DOWN,) * len(downs),
+                            up_text + down_text)
                     out.append(PathContext(values[left], path, value))
             branch = pivot
     return out
 
 
 def _descend(nodes, values, branch: int, budget: int) -> list:
-    """(kinds from `branch` down, value) of each terminal at most `budget`
-    nodes deep in `branch`, in DFS order."""
+    """(kinds from `branch` down, their `_Kind_Kind` text, value) of each
+    terminal at most `budget` nodes deep in `branch`, in DFS order."""
     found = []
-    stack = [(branch, (nodes[branch].kind,))]
+    stack = [(branch, (nodes[branch].kind,), "_" + nodes[branch].kind)]
     while stack:
-        node_id, kinds = stack.pop()
+        node_id, kinds, text = stack.pop()
         if nodes[node_id].is_terminal:
-            found.append((kinds, values[node_id]))
+            found.append((kinds, text, values[node_id]))
         elif len(kinds) < budget:
-            stack.extend((c, kinds + (nodes[c].kind,))
-                         for c in reversed(nodes[node_id].children))
+            for child in reversed(nodes[node_id].children):
+                kind = nodes[child].kind
+                stack.append((child, kinds + (kind,), text + "_" + kind))
     return found
 
 
@@ -128,5 +139,5 @@ def path_from_string(text: str) -> AstPath:
     if not seps or any(not k for k in kinds):
         raise DatasetFormatError(f"malformed path string {text!r}")
     directions = tuple(UP if s == "^" else DOWN for s in seps)
-    return AstPath(tuple(kinds), directions)
+    return AstPath._with_text(tuple(kinds), directions, text)
 

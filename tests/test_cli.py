@@ -192,6 +192,23 @@ class TestVocab:
         bad.write_text("label only,two\n", encoding="utf-8")
         assert main(["train", "--train", str(bad), "-o", str(tmp_path / "m.bin")]) == 2
 
+    def test_entries_with_a_tab_or_line_separator_load(self, tmp_path, capsys):
+        # A dataset line splits only on ' ' and ',', so a value, path kind
+        # or label may hold a tab or U+2028, and its model must load.
+        data = tmp_path / "odd.c2v"
+        data.write_text("get\tX a\tb,A^B\u2028_C,c\u2028d\nsetY e,A^B\u2028_C,f\n",
+                        encoding="utf-8")
+        model = tmp_path / "m.bin"
+        assert main(["train", "--train", str(data), "-o", str(model),
+                     "--dim", "4", "--epochs", "1"]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), str(data)]) == 0
+        assert capsys.readouterr().out.startswith("P=")
+        _, vocabs = load_model(str(model))
+        assert {"a\tb", "c\u2028d"} <= set(vocabs.values.entries)
+        assert "A^B\u2028_C" in vocabs.paths.entries
+        assert "get\tX" in vocabs.tags.entries
+
 
 class TestTrainPredictEval:
     def test_out_of_memory_is_one_line_and_exit_4(self, tmp_path):

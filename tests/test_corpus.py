@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codevec.corpus import (ABLATIONS, PAD_ID, UNK_ID, RawExample, Vocabs,
+from codevec.corpus import (ABLATIONS, PAD_ID, UNK_ID, RawExample, Vocab, Vocabs,
                             build_vocabs, encode_batch, encode_batches, encode_example,
                             example_rng, format_example, format_vocabs, load_dataset,
                             parse_example, parse_vocabs, read_dataset, split_subtokens,
@@ -304,6 +304,21 @@ class TestVocabFormat:
         vocabs = build_vocabs(examples)
         counts = vocabs.values.counts[2:]
         assert counts == sorted(counts, reverse=True)
+
+    @given(st.lists(st.lists(st.tuples(st.text().filter(lambda e: "\n" not in e),
+                                       st.integers(0, 2**40)),
+                             max_size=6, unique_by=lambda entry: entry[0]),
+                    min_size=3, max_size=3))
+    @settings(max_examples=200)
+    def test_parse_inverts_format_for_entries_without_lf(self, kinds):
+        # Tabs, CR, U+2028 and the other breaks of str.splitlines included.
+        kinds = [[(e, c) for e, c in entries if e not in ("<PAD>", "<UNK>")]
+                 for entries in kinds]
+        vocabs = Vocabs(*map(Vocab, kinds))
+        again = parse_vocabs(format_vocabs(vocabs))
+        for name in ("values", "paths", "tags"):
+            got, expected = getattr(again, name), getattr(vocabs, name)
+            assert (got.entries, got.counts) == (expected.entries, expected.counts)
 
     def test_malformed_line(self):
         with pytest.raises(DatasetFormatError):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from codevec.corpus import (ABLATIONS, PAD_ID, AblationMask, EncodedExample,
                             RawExample, build_vocabs, encode_example, example_rng,
                             stack_examples)
 from codevec.errors import ModelFormatError, TrainingError
-from codevec.model import (MAX_SLOTS, AttentionVariant, ModelDims, ModelParams,
+from codevec.model import (INIT_BLOCK, MAX_SLOTS, AttentionVariant, ModelDims, ModelParams,
                            forward, init_params, load_model, predict_topk,
                            save_model, top_k)
 from codevec.paths import PathContext, path_from_string
@@ -77,6 +78,37 @@ class TestInit:
         assert nofc.tags_vocab.shape == (4, 12)
         elem = init_params(DIMS, AttentionVariant.ELEMENT_WISE, 0)
         assert elem.attention.shape == (4, 4)
+
+    def test_blocked_draw_is_the_whole_array_draw(self):
+        # Tables of several blocks, one of a partial block and 1-D groups:
+        # each the float32 rounding of one float64 uniform array.
+        dims = ModelDims(40, 4000, 1700, 30, 5)
+        assert dims.num_values * dims.d > 2 * INIT_BLOCK
+        for variant in AttentionVariant:
+            params = init_params(dims, variant, 9)
+            rng = np.random.default_rng(9)
+            for name, group in params.groups().items():
+                fan_in, fan_out = group.shape if group.ndim == 2 else (1, group.shape[0])
+                bound = np.sqrt(6.0 / (fan_in + fan_out))
+                whole = rng.uniform(-bound, bound, size=group.shape).astype(np.float32)
+                if name.endswith("_vocab"):
+                    whole[PAD_ID] = 0.0
+                assert group.dtype == np.float32
+                assert group.tobytes() == whole.tobytes(), (variant, name)
+
+    def test_no_float64_copy_of_a_table(self):
+        # The traced peak is the kept float32 groups plus one float64 block
+        # and a few KB of array headers; a whole-table float64 draw would
+        # add 5 MB.
+        dims = ModelDims(64, 20_000, 20_000, 2_000, 5)
+        tracemalloc.start()
+        try:
+            params = init_params(dims, AttentionVariant.ELEMENT_WISE, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(group.nbytes for group in params.groups().values())
+        assert peak <= kept + 8 * INIT_BLOCK + 16_384
 
     def test_degenerate_dims_rejected(self):
         with pytest.raises(ValueError):

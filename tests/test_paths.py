@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codevec.ast_tree import AstBuilder, read_sexpr_asts
+from codevec.ast_tree import Ast, AstBuilder, AstNode, read_sexpr_asts
 from codevec.errors import DatasetFormatError
 from codevec.minij import parse_methods
 from codevec.paths import (DOWN, UP, AstPath, ExtractionLimits, PathContext,
@@ -275,6 +275,70 @@ class TestPathStrings:
                                       for d, k in zip(directions, kinds[1:]))
         assert path.text == path_to_string(path) == rendered
         assert path_from_string(path.text) == path
+
+
+# Legal kinds whose path text does not split back into them, so a path's
+# kinds can only have come from the tree, not from its text.
+SPLICED = {**{kind: kind for kind in TERMINAL_KINDS + NONTERMINAL_KINDS},
+           "IfStmt": "Block^Call", "WhileStmt": "Block_Call",
+           "Foreach": "F^or_each", "NameExpr": "Name_Expr"}
+
+
+class TestPathConstruction:
+    """The walk and the reader build paths from text they already hold;
+    each must be the path that AstPath(kinds, directions) checks and renders."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_walk_paths_are_the_checked_construction(self, seed, length, width):
+        ast = random_ast(np.random.default_rng(seed), max_terminals=20)
+        spliced = Ast(tuple(AstNode(SPLICED[n.kind], n.children, n.value)
+                            for n in ast.nodes), ast.root)
+        limits = ExtractionLimits(length, width)
+        plain = extract_path_contexts(ast, limits)
+        odd = extract_path_contexts(spliced, limits)
+        assert len(plain) == len(odd)
+        for a, b in zip(plain, odd):
+            assert b.path.kinds == tuple(SPLICED[k] for k in a.path.kinds)
+            assert b.path.directions == a.path.directions
+            for path in (a.path, b.path):
+                checked = AstPath(path.kinds, path.directions)
+                assert path == checked and path.text == checked.text
+
+    def test_paths_with_one_text_keep_their_own_kinds(self):
+        # Both paths render NameExpr^Block^Call_NameExpr.
+        builder = AstBuilder()
+
+        def name(value):
+            return builder.terminal("NameExpr", value)
+
+        ast = builder.build(builder.nonterminal("Method", [
+            builder.nonterminal("Call", [builder.nonterminal("Block", [name("a")]),
+                                         name("b")]),
+            builder.nonterminal("Block^Call", [name("c"), name("d")])]))
+        contexts = {(c.source_value, c.target_value): c.path
+                    for c in extract_path_contexts(ast, ExtractionLimits(3, 1))}
+        first, second = contexts["a", "b"], contexts["c", "d"]
+        assert first.text == second.text == "NameExpr^Block^Call_NameExpr"
+        assert first.kinds == ("NameExpr", "Block", "Call", "NameExpr")
+        assert second.kinds == ("NameExpr", "Block^Call", "NameExpr")
+
+    @given(st.text(alphabet="ab^_", min_size=1, max_size=12))
+    @settings(max_examples=300)
+    def test_read_path_keeps_its_string(self, text):
+        try:
+            path = path_from_string(text)
+        except DatasetFormatError:
+            return
+        assert path.text == text
+        checked = AstPath(path.kinds, path.directions)
+        assert path == checked and checked.text == text
+
+    def test_context_is_a_slotted_record(self):
+        (ast,) = read_sexpr_asts(ASSIGNMENT)
+        (ctx,) = extract_path_contexts(ast, ExtractionLimits())
+        assert not hasattr(ctx, "__dict__")
+        assert PathContext.__slots__ == ("source_value", "path", "target_value")
 
 
 @st.composite
