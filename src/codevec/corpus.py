@@ -7,13 +7,13 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
 from .errors import DatasetFormatError
-from .paths import AstPath, PathContext, path_from_string
+from .paths import AstPath, Contexts, PathContext, path_from_string
 
 PAD_ID = 0
 UNK_ID = 1
@@ -60,7 +60,7 @@ class Vocabs:
 @dataclass
 class RawExample:
     label: str
-    contexts: list[PathContext]
+    contexts: Contexts
 
     def __post_init__(self):
         if not self.label:
@@ -68,6 +68,22 @@ class RawExample:
         # A dataset line splits on ' ', and a file's lines on CR and LF.
         if _LABEL_BREAK_RE.search(self.label):
             raise DatasetFormatError(f"label {self.label!r} holds a space, CR or LF")
+        if not isinstance(self.contexts, Contexts):  # PathContexts that must read back
+            self.contexts = _checked_columns(self.label, self.contexts)
+
+
+def _checked_columns(label: str, contexts: Iterable[PathContext]) -> Contexts:
+    given, paths = list(contexts), {}
+    for ctx in given:
+        chunk = format_context(ctx)
+        try:
+            same = parse_example(f"{label} {chunk}", paths=paths).contexts == [ctx]
+        except DatasetFormatError:
+            same = False
+        if not same or _LABEL_BREAK_RE.search(chunk):
+            raise DatasetFormatError(f"example {label!r}: context {chunk!r} does not read back")
+    return Contexts([c.source_value for c in given], [c.path for c in given],
+                    [c.target_value for c in given])
 
 
 @dataclass
@@ -124,9 +140,9 @@ def build_vocabs(examples: Iterable[RawExample], max_values: int = 50_000,
     tag_counts: Counter = Counter()
     for example in examples:
         tag_counts[example.label] += 1
-        value_counts.update(map(attrgetter("source_value"), example.contexts))
-        value_counts.update(map(attrgetter("target_value"), example.contexts))
-        path_counts.update(map(attrgetter("path.text"), example.contexts))
+        value_counts.update(example.contexts.sources)
+        value_counts.update(example.contexts.targets)
+        path_counts.update(map(attrgetter("text"), example.contexts.paths))
     return Vocabs(
         values=Vocab(_top_entries(value_counts, max_values)),
         paths=Vocab(_top_entries(path_counts, max_paths)),
@@ -141,14 +157,16 @@ def example_rng(global_seed: int, ordinal: int, epoch: int = 0) -> np.random.Gen
         np.random.SeedSequence((global_seed, epoch, ordinal))))
 
 
-def sample_contexts(contexts: list[PathContext], k_max: int,
-                    rng: np.random.Generator | None) -> list[PathContext]:
+def sample_contexts(contexts: Contexts, k_max: int,
+                    rng: np.random.Generator | None) -> Contexts:
     """The contexts that fill an example's k_max slots: all of them when
     they fit, else k_max drawn without replacement, in their input order."""
     if len(contexts) <= k_max:
         return contexts
-    keep = rng.choice(len(contexts), size=k_max, replace=False)
-    return [contexts[i] for i in np.sort(keep).tolist()]
+    keep = np.sort(rng.choice(len(contexts), size=k_max, replace=False)).tolist()
+    pick = itemgetter(*keep)  # of one index it returns the item, not a tuple
+    return Contexts(*(list(pick(column)) if k_max > 1 else [pick(column)]
+                      for column in (contexts.sources, contexts.paths, contexts.targets)))
 
 
 def encode_example(raw: RawExample, vocabs: Vocabs, k_max: int,
@@ -167,10 +185,10 @@ def encode_example(raw: RawExample, vocabs: Vocabs, k_max: int,
     value_id, path_id = vocabs.values._index.get, vocabs.paths._index.get
     sources, paths, targets = (np.full(k_max, PAD_ID, dtype=np.int64) for _ in range(3))
     sources[:n] = (UNK_ID if ablation.hide_source
-                   else [value_id(c.source_value, UNK_ID) for c in contexts])
-    paths[:n] = UNK_ID if ablation.hide_path else [path_id(c.path.text, UNK_ID) for c in contexts]
+                   else [value_id(v, UNK_ID) for v in contexts.sources])
+    paths[:n] = UNK_ID if ablation.hide_path else [path_id(p.text, UNK_ID) for p in contexts.paths]
     targets[:n] = (UNK_ID if ablation.hide_target
-                   else [value_id(c.target_value, UNK_ID) for c in contexts])
+                   else [value_id(v, UNK_ID) for v in contexts.targets])
     mask = np.zeros(k_max, dtype=np.float64)
     mask[:n] = 1.0
     return EncodedExample(vocabs.tags.id_of(raw.label), sources, paths, targets, mask)
@@ -207,7 +225,9 @@ def format_context(ctx: PathContext) -> str:
 
 
 def format_example(example: RawExample) -> str:
-    return " ".join([example.label, *map(format_context, example.contexts)])
+    contexts = example.contexts
+    return " ".join([example.label, *(f"{source},{path.text},{target}" for source, path, target
+                                      in zip(contexts.sources, contexts.paths, contexts.targets))])
 
 
 def parse_example(line: str, lineno: int = 0,
@@ -219,7 +239,7 @@ def parse_example(line: str, lineno: int = 0,
     label = fields[0]
     if not label:
         raise DatasetFormatError(f"line {lineno}: empty label")
-    contexts = []
+    sources, context_paths, targets = [], [], []
     for chunk in fields[1:]:
         pieces = chunk.split(",")
         if len(pieces) != 3 or "" in pieces:
@@ -230,8 +250,10 @@ def parse_example(line: str, lineno: int = 0,
                 path = paths[pieces[1]] = path_from_string(pieces[1])
             except DatasetFormatError as exc:
                 raise DatasetFormatError(f"line {lineno}: {exc}") from None
-        contexts.append(PathContext(pieces[0], path, pieces[2]))
-    return RawExample(label, contexts)
+        sources.append(pieces[0])
+        context_paths.append(path)
+        targets.append(pieces[2])
+    return RawExample(label, Contexts(sources, context_paths, targets))
 
 
 def write_dataset(examples: Iterable[RawExample], stream: TextIO) -> None:
@@ -277,6 +299,8 @@ def format_vocabs(vocabs: Vocabs) -> str:
     lines = []
     for kind, vocab in zip(_KIND_ORDER, (vocabs.values, vocabs.paths, vocabs.tags)):
         for entry, count in zip(vocab.entries[2:], vocab.counts[2:]):
+            if "\n" in entry:
+                raise DatasetFormatError(f"{kind} vocabulary entry {entry!r} holds LF")
             lines.append(f"{kind}\t{entry}\t{count}")
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -6,6 +6,7 @@ pivot (the lowest common ancestor) and then descends to the end terminal.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .ast_tree import Ast, normalize_value
@@ -56,6 +57,29 @@ class PathContext:
     target_value: str
 
 
+@dataclass(slots=True)
+class Contexts(Sequence):
+    """An example's path-contexts as three columns: source values, shared
+    AstPaths, target values. An item is a PathContext built when it is read."""
+
+    sources: list[str]
+    paths: list[AstPath]
+    targets: list[str]
+
+    def __len__(self) -> int:
+        return len(self.sources)
+
+    def __getitem__(self, index):
+        item = Contexts if isinstance(index, slice) else PathContext
+        return item(self.sources[index], self.paths[index], self.targets[index])
+
+    def __iter__(self):
+        return map(PathContext, self.sources, self.paths, self.targets)
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (Contexts, list)) else NotImplemented
+
+
 @dataclass(frozen=True)
 class ExtractionLimits:
     max_length: int = 8
@@ -68,7 +92,7 @@ class ExtractionLimits:
             raise ValueError("max_width must be >= 0")
 
 
-def extract_path_contexts(ast: Ast, limits: ExtractionLimits) -> list[PathContext]:
+def extract_path_contexts(ast: Ast, limits: ExtractionLimits) -> Contexts:
     """One path-context per unordered terminal pair (i < j in DFS order)
     whose connecting path passes the length and pivot-width limits.
 
@@ -84,7 +108,7 @@ def extract_path_contexts(ast: Ast, limits: ExtractionLimits) -> list[PathContex
     values = {n: normalize_value(nodes[n].kind, nodes[n].value) for n in terminals}
     below = {}  # (branch, budget) -> _descend's list, shared by many left terminals
     shared = {}  # (kinds up, kinds down) -> their one AstPath
-    out = []
+    sources, paths, targets = [], [], []
     for left in terminals:
         ups, up_text, branch = (nodes[left].kind,), nodes[left].kind, left
         for steps_up in range(1, min(limits.max_length, ast.depth[left] + 1)):
@@ -102,9 +126,11 @@ def extract_path_contexts(ast: Ast, limits: ExtractionLimits) -> list[PathContex
                         path = shared[ups, downs] = AstPath._with_text(
                             ups + downs, (UP,) * steps_up + (DOWN,) * len(downs),
                             up_text + down_text)
-                    out.append(PathContext(values[left], path, value))
+                    sources.append(values[left])
+                    paths.append(path)
+                    targets.append(value)
             branch = pivot
-    return out
+    return Contexts(sources, paths, targets)
 
 
 def _descend(nodes, values, branch: int, budget: int) -> list:
