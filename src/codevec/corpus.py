@@ -7,13 +7,13 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from itertools import repeat
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
 from .errors import DatasetFormatError
-from .paths import AstPath, Contexts, PathContext, path_from_string
+from .paths import PATH_STRING_RE, Contexts, PathContext, SymbolTable
 
 PAD_ID = 0
 UNK_ID = 1
@@ -49,6 +49,10 @@ class Vocab:
     def entry(self, idx: int) -> str:
         return self.entries[idx]
 
+    def ids_of(self, entries: list[str]) -> np.ndarray:
+        """The id of each entry, UNK for one not in the vocabulary."""
+        return np.fromiter(map(self._index.get, entries, repeat(UNK_ID)), np.int64, len(entries))
+
 
 @dataclass
 class Vocabs:
@@ -69,21 +73,24 @@ class RawExample:
         if _LABEL_BREAK_RE.search(self.label):
             raise DatasetFormatError(f"label {self.label!r} holds a space, CR or LF")
         if not isinstance(self.contexts, Contexts):  # PathContexts that must read back
-            self.contexts = _checked_columns(self.label, self.contexts)
+            self.contexts = _checked_contexts(self.label, self.contexts)
 
 
-def _checked_columns(label: str, contexts: Iterable[PathContext]) -> Contexts:
-    given, paths = list(contexts), {}
-    for ctx in given:
+def _checked_contexts(label: str, contexts: Iterable[PathContext]) -> Contexts:
+    """The contexts as each reads back from its dataset chunk, coded in one
+    new table."""
+    table, codes = SymbolTable(), [np.empty((0, 3), np.int32)]
+    for ctx in contexts:
         chunk = format_context(ctx)
         try:
-            same = parse_example(f"{label} {chunk}", paths=paths).contexts == [ctx]
+            read = parse_example(f"{label} {chunk}", table=table).contexts
         except DatasetFormatError:
-            same = False
-        if not same or _LABEL_BREAK_RE.search(chunk):
+            read = None
+        if read != [ctx] or _LABEL_BREAK_RE.search(chunk):
             raise DatasetFormatError(f"example {label!r}: context {chunk!r} does not read back")
-    return Contexts([c.source_value for c in given], [c.path for c in given],
-                    [c.target_value for c in given])
+        codes.append(read.codes)
+    table.seal()
+    return Contexts(np.concatenate(codes), table)
 
 
 @dataclass
@@ -132,17 +139,25 @@ def _top_entries(counter: Counter, cutoff: int) -> list[tuple[str, int]]:
 
 def build_vocabs(examples: Iterable[RawExample], max_values: int = 50_000,
                  max_paths: int = 50_000, max_tags: int = 10_000) -> Vocabs:
-    """Count components over a training stream and keep the top-N of each."""
+    """Count components over a training stream and keep the top-N of each:
+    the codes of each symbol table are counted at once."""
     if min(max_values, max_paths, max_tags) < 1:
         raise ValueError("cutoffs must be >= 1")
     value_counts: Counter = Counter()
     path_counts: Counter = Counter()
     tag_counts: Counter = Counter()
+    by_table: dict[SymbolTable, list[np.ndarray]] = {}
     for example in examples:
         tag_counts[example.label] += 1
-        value_counts.update(example.contexts.sources)
-        value_counts.update(example.contexts.targets)
-        path_counts.update(map(attrgetter("text"), example.contexts.paths))
+        by_table.setdefault(example.contexts.table, []).append(example.contexts.codes)
+    for table, codes in by_table.items():
+        codes = np.concatenate(codes)
+        for counter, strings, column in ((value_counts, table.values, codes[:, ::2]),
+                                         (path_counts, table.texts, codes[:, 1])):
+            counts = np.bincount(column.ravel(), minlength=len(strings))
+            seen = np.flatnonzero(counts).tolist()
+            for string, times in zip(map(strings.__getitem__, seen), counts[seen].tolist()):
+                counter[string] += times
     return Vocabs(
         values=Vocab(_top_entries(value_counts, max_values)),
         paths=Vocab(_top_entries(path_counts, max_paths)),
@@ -163,10 +178,8 @@ def sample_contexts(contexts: Contexts, k_max: int,
     they fit, else k_max drawn without replacement, in their input order."""
     if len(contexts) <= k_max:
         return contexts
-    keep = np.sort(rng.choice(len(contexts), size=k_max, replace=False)).tolist()
-    pick = itemgetter(*keep)  # of one index it returns the item, not a tuple
-    return Contexts(*(list(pick(column)) if k_max > 1 else [pick(column)]
-                      for column in (contexts.sources, contexts.paths, contexts.targets)))
+    keep = np.sort(rng.choice(len(contexts), size=k_max, replace=False))
+    return Contexts(contexts.codes[keep], contexts.table)
 
 
 def encode_example(raw: RawExample, vocabs: Vocabs, k_max: int,
@@ -174,6 +187,7 @@ def encode_example(raw: RawExample, vocabs: Vocabs, k_max: int,
                    ablation: AblationMask = ABLATIONS["full"]) -> EncodedExample:
     """Index a raw example, filling the slots with `sample_contexts` (`rng`
     may be None when the contexts fit) and padding the rest with masked slots.
+    The kept codes index the ids of their table's strings, mapped once per Vocab.
 
     Hidden (ablated) components and out-of-vocabulary components map to
     UNK. An example with zero contexts encodes with an all-zero mask.
@@ -181,14 +195,13 @@ def encode_example(raw: RawExample, vocabs: Vocabs, k_max: int,
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     contexts = sample_contexts(raw.contexts, k_max, rng)
-    n = len(contexts)
-    value_id, path_id = vocabs.values._index.get, vocabs.paths._index.get
+    codes, table = contexts.codes, contexts.table
+    n = len(codes)
+    values = table.ids(vocabs.values, 0)
     sources, paths, targets = (np.full(k_max, PAD_ID, dtype=np.int64) for _ in range(3))
-    sources[:n] = (UNK_ID if ablation.hide_source
-                   else [value_id(v, UNK_ID) for v in contexts.sources])
-    paths[:n] = UNK_ID if ablation.hide_path else [path_id(p.text, UNK_ID) for p in contexts.paths]
-    targets[:n] = (UNK_ID if ablation.hide_target
-                   else [value_id(v, UNK_ID) for v in contexts.targets])
+    sources[:n] = UNK_ID if ablation.hide_source else values[codes[:, 0]]
+    paths[:n] = UNK_ID if ablation.hide_path else table.ids(vocabs.paths, 1)[codes[:, 1]]
+    targets[:n] = UNK_ID if ablation.hide_target else values[codes[:, 2]]
     mask = np.zeros(k_max, dtype=np.float64)
     mask[:n] = 1.0
     return EncodedExample(vocabs.tags.id_of(raw.label), sources, paths, targets, mask)
@@ -225,35 +238,50 @@ def format_context(ctx: PathContext) -> str:
 
 
 def format_example(example: RawExample) -> str:
-    contexts = example.contexts
-    return " ".join([example.label, *(f"{source},{path.text},{target}" for source, path, target
-                                      in zip(contexts.sources, contexts.paths, contexts.targets))])
+    codes, table = example.contexts.codes, example.contexts.table
+    if not len(codes):
+        return example.label
+    # Each context as six picks from the table's symbols: source, ',', path,
+    # ',', target, ' '; the last ' ' is dropped.
+    symbols = table.symbols()
+    picks = np.empty((len(codes), 6), np.intp)
+    picks[:, 0::2] = codes
+    picks[:, 2] += len(table.values)
+    picks[:, 1::2] = len(symbols) - 2, len(symbols) - 2, len(symbols) - 1
+    return example.label + " " + "".join(symbols[picks.ravel()[:-1]].tolist())
 
 
-def parse_example(line: str, lineno: int = 0,
-                  paths: dict[str, AstPath] | None = None) -> RawExample:
-    """One dataset line. `paths` maps each path string read so far to its
-    AstPath, so that repeats share one object."""
-    paths = {} if paths is None else paths
-    fields = line.split(" ")
-    label = fields[0]
+def parse_example(line: str, lineno: int = 0, table: SymbolTable | None = None) -> RawExample:
+    """One dataset line, its contexts coded in `table` (a new one when None).
+    A path string new to the table is checked once; its AstPath is built
+    when a context that holds it is read."""
+    table = SymbolTable() if table is None else table
+    label, space, rest = line.partition(" ")
     if not label:
         raise DatasetFormatError(f"line {lineno}: empty label")
-    sources, context_paths, targets = [], [], []
-    for chunk in fields[1:]:
-        pieces = chunk.split(",")
-        if len(pieces) != 3 or "" in pieces:
-            raise DatasetFormatError(f"line {lineno}: malformed context {chunk!r}")
-        path = paths.get(pieces[1])
-        if path is None:
-            try:
-                path = paths[pieces[1]] = path_from_string(pieces[1])
-            except DatasetFormatError as exc:
-                raise DatasetFormatError(f"line {lineno}: {exc}") from None
-        sources.append(pieces[0])
-        context_paths.append(path)
-        targets.append(pieces[2])
-    return RawExample(label, Contexts(sources, context_paths, targets))
+    chunks = rest.split(" ") if space else []
+    pieces = rest.replace(" ", ",").split(",") if chunks else []
+    if chunks and (set(map(str.count, chunks, repeat(","))) != {2} or "" in pieces):
+        bad = next(c for c in chunks if c.count(",") != 2 or "" in c.split(","))
+        raise DatasetFormatError(f"line {lineno}: malformed context {bad!r}")
+    value_codes, path_codes = table.value_codes, table.path_codes
+    codes = np.empty((len(chunks), 3), np.int32)
+    codes[:, 1] = np.fromiter(map(path_codes.__getitem__, pieces[1::3]), np.int32, len(chunks))
+    new = path_codes.since(len(table.texts))
+    for text in new:
+        if not PATH_STRING_RE.fullmatch(text):
+            while len(path_codes) > len(table.texts):
+                path_codes.popitem()  # the table stays as it was
+            raise DatasetFormatError(f"line {lineno}: malformed path string {text!r}")
+    table.texts += new
+    for column in (0, 2):
+        codes[:, column] = np.fromiter(map(value_codes.__getitem__, pieces[column::3]),
+                                       np.int32, len(chunks))
+    table.values += value_codes.since(len(table.values))
+    try:
+        return RawExample(label, Contexts(codes, table))
+    except DatasetFormatError as exc:
+        raise DatasetFormatError(f"line {lineno}: {exc}") from None
 
 
 def write_dataset(examples: Iterable[RawExample], stream: TextIO) -> None:
@@ -262,14 +290,15 @@ def write_dataset(examples: Iterable[RawExample], stream: TextIO) -> None:
 
 
 def read_dataset(stream: Iterable[str]) -> Iterator[RawExample]:
-    """The stream's examples. Within one read, each distinct path string is
-    parsed once and its AstPath shared."""
-    paths: dict[str, AstPath] = {}
+    """The stream's examples, coded in one SymbolTable: each distinct
+    string is kept once and each distinct path string parsed once."""
+    table = SymbolTable()
     for lineno, line in enumerate(stream, start=1):
         line = line.rstrip("\n")
         if not line:
             continue
-        yield parse_example(line, lineno, paths)
+        yield parse_example(line, lineno, table)
+    table.seal()
 
 
 def load_dataset(path: str) -> list[RawExample]:
@@ -317,6 +346,8 @@ def parse_vocabs(text: str) -> Vocabs:
             raise DatasetFormatError(f"vocab line {lineno}: malformed entry")
         try:
             count = int(count_text)
+            if str(count) != count_text:  # only the digits format_vocabs writes
+                raise ValueError(count_text)
         except ValueError:
             raise DatasetFormatError(f"vocab line {lineno}: bad count") from None
         buckets[kind].append((entry, count))

@@ -6,8 +6,13 @@ pivot (the lowest common ancestor) and then descends to the end terminal.
 from __future__ import annotations
 
 import re
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate, islice
+from weakref import WeakKeyDictionary
+
+import numpy as np
 
 from .ast_tree import Ast, normalize_value
 from .errors import DatasetFormatError
@@ -57,24 +62,123 @@ class PathContext:
     target_value: str
 
 
-@dataclass(slots=True)
-class Contexts(Sequence):
-    """An example's path-contexts as three columns: source values, shared
-    AstPaths, target values. An item is a PathContext built when it is read."""
+class SymbolTable:
+    """The distinct value strings and path strings that `Contexts` codes
+    index, shared by the examples of one read or one extraction. A code is a
+    position in `values` or `texts`, in order of first sight.
 
-    sources: list[str]
-    paths: list[AstPath]
-    targets: list[str]
+    While a read fills the table, `value_codes[value]` and `path_codes[text]`
+    give the code of a string, numbering it on first sight. `seal` ends the
+    read. `paths()` gives the AstPaths by code: the walk appends its own, and
+    a read's are parsed when first asked for. `ids` maps the table through a
+    Vocab once per Vocab.
+    """
+
+    __slots__ = ("values", "texts", "value_codes", "path_codes", "_paths", "_symbols", "_ids",
+                 "__weakref__")
+
+    def __init__(self):
+        self.values: Sequence[str] = []
+        self.texts: Sequence[str] = []
+        self.value_codes: dict[str, int] | None = _Numbering()
+        self.path_codes: dict[str, int] | None = _Numbering()
+        self._paths: list[AstPath] = []
+        self._symbols = np.empty(0, object)
+        self._ids = (WeakKeyDictionary(), WeakKeyDictionary())
+
+    def seal(self) -> None:
+        """Drop the dicts and any AstPaths parsed so far, and pack the
+        strings, none of which holds a space."""
+        self.value_codes = self.path_codes = None
+        self.values, self.texts, self._paths = _Packed(self.values), _Packed(self.texts), []
+
+    def paths(self) -> list[AstPath]:
+        """The AstPaths by code."""
+        if len(self._paths) < len(self.texts):
+            self._paths += map(path_from_string, islice(self.texts, len(self._paths), None))
+        return self._paths
+
+    def symbols(self) -> np.ndarray:
+        """The value strings, the path strings, ',' and ' ' as one object
+        array: the pieces that a dataset line of the table joins."""
+        if len(self._symbols) != len(self.values) + len(self.texts) + 2:
+            self._symbols = np.array([*self.values, *self.texts, ",", " "], object)
+        return self._symbols
+
+    def ids(self, vocab, column: int) -> np.ndarray:
+        """`vocab`'s id of each value (`column` 0) or path string (`column`
+        1), by code. It is cached for as long as `vocab` lives, and extended
+        when the table has grown since."""
+        cache, strings = self._ids[column], self.texts if column else self.values
+        have = cache.get(vocab, _NO_IDS)
+        if len(have) < len(strings):
+            tail = vocab.ids_of(list(islice(strings, len(have), None)))
+            have = cache[vocab] = np.concatenate([have, tail])
+        return have
+
+
+_NO_IDS = np.empty(0, np.int64)
+
+
+class _Numbering(dict):
+    """A dict that numbers each missing key it is asked for with its length."""
+
+    __slots__ = ()
+
+    def __missing__(self, key) -> int:
+        self[key] = number = len(self)
+        return number
+
+    def since(self, known: int) -> list:
+        """The keys numbered `known` and up, in order."""
+        return list(islice(reversed(self), len(self) - known))[::-1]
+
+
+class _Packed(Sequence):
+    """Strings that hold no space, kept as one string joined by spaces and
+    the end of each in it: no object per string."""
+
+    __slots__ = ("joined", "ends")
+
+    def __init__(self, strings: list[str]):
+        self.joined = " ".join(strings)
+        self.ends = array("q", accumulate(map((1).__add__, map(len, strings))))
 
     def __len__(self) -> int:
-        return len(self.sources)
+        return len(self.ends)
 
-    def __getitem__(self, index):
-        item = Contexts if isinstance(index, slice) else PathContext
-        return item(self.sources[index], self.paths[index], self.targets[index])
+    def __getitem__(self, code: int) -> str:
+        return self.joined[self.ends[code - 1] if code else 0:self.ends[code] - 1]
 
     def __iter__(self):
-        return map(PathContext, self.sources, self.paths, self.targets)
+        return iter(self.joined.split(" ") if self.ends else ())
+
+
+class Contexts(Sequence):
+    """An example's path-contexts as an (n, 3) int32 array of codes into a
+    SymbolTable: source value, path, target value. An item is a PathContext
+    built when it is read; a slice is another Contexts on the same table."""
+
+    __slots__ = ("codes", "table")
+
+    def __init__(self, codes: np.ndarray, table: SymbolTable):
+        self.codes = codes
+        self.table = table
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Contexts(self.codes[index], self.table)
+        source, path, target = self.codes[index].tolist()
+        values = self.table.values
+        return PathContext(values[source], self.table.paths()[path], values[target])
+
+    def __iter__(self):
+        values, paths = self.table.values, self.table.paths()
+        for source, path, target in self.codes.tolist():
+            yield PathContext(values[source], paths[path], values[target])
 
     def __eq__(self, other):
         return list(self) == list(other) if isinstance(other, (Contexts, list)) else NotImplemented
@@ -105,10 +209,13 @@ def extract_path_contexts(ast: Ast, limits: ExtractionLimits) -> Contexts:
     """
     nodes, parent, child_index = ast.nodes, ast.parent, ast.child_index
     terminals = ast.terminals()
-    values = {n: normalize_value(nodes[n].kind, nodes[n].value) for n in terminals}
+    table = SymbolTable()
+    value_code = table.value_codes.__getitem__
+    values = {n: value_code(normalize_value(nodes[n].kind, nodes[n].value)) for n in terminals}
     below = {}  # (branch, budget) -> _descend's list, shared by many left terminals
-    shared = {}  # (kinds up, kinds down) -> their one AstPath
-    sources, paths, targets = [], [], []
+    shared = {}  # (kinds up, kinds down) -> the code of their one AstPath
+    codes = []
+    append = codes.append
     for left in terminals:
         ups, up_text, branch = (nodes[left].kind,), nodes[left].kind, left
         for steps_up in range(1, min(limits.max_length, ast.depth[left] + 1)):
@@ -123,18 +230,21 @@ def extract_path_contexts(ast: Ast, limits: ExtractionLimits) -> Contexts:
                 for downs, down_text, value in below[right, budget]:
                     path = shared.get((ups, downs))
                     if path is None:
-                        path = shared[ups, downs] = AstPath._with_text(
+                        path = shared[ups, downs] = len(table.texts)
+                        table.texts.append(up_text + down_text)
+                        table._paths.append(AstPath._with_text(
                             ups + downs, (UP,) * steps_up + (DOWN,) * len(downs),
-                            up_text + down_text)
-                    sources.append(values[left])
-                    paths.append(path)
-                    targets.append(value)
+                            table.texts[-1]))
+                    append(values[left])
+                    append(path)
+                    append(value)
             branch = pivot
-    return Contexts(sources, paths, targets)
+    table.values += table.value_codes
+    return Contexts(np.fromiter(codes, np.int32, len(codes)).reshape(-1, 3), table)
 
 
 def _descend(nodes, values, branch: int, budget: int) -> list:
-    """(kinds from `branch` down, their `_Kind_Kind` text, value) of each
+    """(kinds from `branch` down, their `_Kind_Kind` text, value code) of each
     terminal at most `budget` nodes deep in `branch`, in DFS order."""
     found = []
     stack = [(branch, (nodes[branch].kind,), "_" + nodes[branch].kind)]
@@ -150,6 +260,8 @@ def _descend(nodes, values, branch: int, budget: int) -> list:
 
 
 _PATH_SPLIT_RE = re.compile(r"([\^_])")
+# Kinds separated by at least one '^' or '_', no kind empty.
+PATH_STRING_RE = re.compile(r"[^\^_]+(?:[\^_][^\^_]+)+")
 
 
 def path_to_string(path: AstPath) -> str:
@@ -159,11 +271,11 @@ def path_to_string(path: AstPath) -> str:
 
 def path_from_string(text: str) -> AstPath:
     """Inverse of path_to_string."""
+    if not PATH_STRING_RE.fullmatch(text):
+        raise DatasetFormatError(f"malformed path string {text!r}")
     pieces = _PATH_SPLIT_RE.split(text)
     kinds = pieces[0::2]
     seps = pieces[1::2]
-    if not seps or any(not k for k in kinds):
-        raise DatasetFormatError(f"malformed path string {text!r}")
     directions = tuple(UP if s == "^" else DOWN for s in seps)
     return AstPath._with_text(tuple(kinds), directions, text)
 

@@ -9,7 +9,8 @@ from dataclasses import replace
 import numpy as np
 
 from codevec.ast_tree import Ast, AstBuilder, normalize_value
-from codevec.corpus import EncodedExample, PAD_ID, Vocab, Vocabs
+from codevec.corpus import (PAD_ID, UNK_ID, AblationMask, EncodedExample, Vocab, Vocabs,
+                            example_rng, stack_examples)
 from codevec.model import ModelDims, save_model
 from codevec.paths import AstPath, DOWN, UP, ExtractionLimits
 
@@ -199,6 +200,37 @@ def random_encoded(rng: np.random.Generator, dims: ModelDims,
     mask[:n_valid] = 1.0
     label = int(rng.integers(1, dims.num_tags))
     return EncodedExample(label, sources, paths, targets, mask)
+
+
+def reference_encode_example(raw, vocabs: Vocabs, k_max: int, rng,
+                             ablation: AblationMask) -> EncodedExample:
+    """The string-lookup encoder that codes replaced: the same sampling draw,
+    then each kept component looked up in its Vocab by its string."""
+    contexts = list(raw.contexts)
+    if len(contexts) > k_max:
+        keep = np.sort(rng.choice(len(contexts), size=k_max, replace=False)).tolist()
+        contexts = [contexts[i] for i in keep]
+    n = len(contexts)
+    value_id, path_id = vocabs.values._index.get, vocabs.paths._index.get
+    sources, paths, targets = (np.full(k_max, PAD_ID, dtype=np.int64) for _ in range(3))
+    sources[:n] = (UNK_ID if ablation.hide_source
+                   else [value_id(c.source_value, UNK_ID) for c in contexts])
+    paths[:n] = (UNK_ID if ablation.hide_path
+                 else [path_id(c.path.text, UNK_ID) for c in contexts])
+    targets[:n] = (UNK_ID if ablation.hide_target
+                   else [value_id(c.target_value, UNK_ID) for c in contexts])
+    mask = np.zeros(k_max, dtype=np.float64)
+    mask[:n] = 1.0
+    return EncodedExample(vocabs.tags.id_of(raw.label), sources, paths, targets, mask)
+
+
+def reference_encode_batch(examples, positions, vocabs: Vocabs, k_max: int, seed: int,
+                           ablation: AblationMask, epoch: int = 0) -> EncodedExample:
+    """`corpus.encode_batch` on `reference_encode_example`."""
+    return stack_examples([
+        reference_encode_example(examples[i], vocabs, k_max, example_rng(seed, i, epoch)
+                                 if len(examples[i].contexts) > k_max else None, ablation)
+        for i in positions])
 
 
 def tag_vocabs(num_tags: int) -> Vocabs:

@@ -1,25 +1,30 @@
-"""An example's contexts as three columns (`paths.Contexts`): the sequence
-behaves as the list of PathContexts it holds, in-memory contexts are checked
-to read back, and no object per context is kept when reading or extracting."""
+"""An example's path-contexts as integer codes over a shared symbol table
+(`paths.Contexts`, `paths.SymbolTable`): the sequence behaves as the list of
+PathContexts it holds, in-memory contexts are checked to read back, encoding
+through the table gives the ids that looking up each string gives, and no
+object per context is kept when reading or extracting."""
 
 import gc
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codevec.corpus import (RawExample, Vocab, Vocabs, example_rng, format_vocabs,
-                            read_dataset, sample_contexts, write_dataset)
+from codevec.corpus import (ABLATIONS, RawExample, Vocab, Vocabs, encode_batch, example_rng,
+                            format_vocabs, read_dataset, sample_contexts, write_dataset)
 from codevec.errors import DatasetFormatError
 from codevec.minij import parse_methods
 from codevec.model import AttentionVariant, ModelDims, init_params, save_model
-from codevec.paths import DOWN, UP, AstPath, Contexts, ExtractionLimits, PathContext
+from codevec.paths import (DOWN, UP, AstPath, Contexts, ExtractionLimits, PathContext,
+                           extract_path_contexts)
 from codevec.pipeline import method_to_example
 
-from conftest import NONTERMINAL_KINDS, TERMINAL_KINDS, VALUES, long_minij_method
+from conftest import (NONTERMINAL_KINDS, TERMINAL_KINDS, VALUES, long_minij_method, random_ast,
+                      reference_encode_batch)
 
 
 @st.composite
@@ -166,6 +171,95 @@ class TestNoObjectPerContext:
     def test_extraction_keeps_no_object_per_context(self):
         (ast,) = parse_methods(long_minij_method(np.random.default_rng(5), 200))
         example, grown = tracked_growth(lambda: method_to_example(ast, ExtractionLimits(8, 2)))
-        distinct = len({path.text for path in example.contexts.paths})
+        distinct = len(set(example.contexts.table.texts))
         assert len(example.contexts) > 3 * distinct
         assert grown <= 2 * distinct + 50
+
+
+LABELS = ["getX", "setY", "run", "size"]
+
+
+@st.composite
+def example_routes(draw):
+    """(how the examples were made, a list of them or a read's iterator).
+    A read codes all its examples in one table, an extraction each method in
+    its own, and `RawExample(label, [PathContext...])` each example in its own."""
+    route = draw(st.sampled_from(["read", "extract", "list"]))
+    labels = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=5))
+    if route == "extract":
+        seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=len(labels),
+                              max_size=len(labels)))
+        return route, [RawExample(label, extract_path_contexts(
+            random_ast(np.random.default_rng(seed), max_terminals=8), ExtractionLimits(4, 2)))
+            for label, seed in zip(labels, seeds)]
+    examples = [RawExample(label, draw(st.lists(path_contexts, max_size=14)))
+                for label in labels]
+    if route == "list":
+        return route, examples
+    out = io.StringIO()
+    write_dataset(examples, out)
+    return route, read_dataset(io.StringIO(out.getvalue()))
+
+
+@st.composite
+def vocabularies(draw):
+    """Vocabs over a part of the strings the examples may hold, plus strings
+    they never hold: both in-vocabulary and out-of-vocabulary entries."""
+    texts = [p.text for p in (AstPath((a, b), (UP,)) for a in TERMINAL_KINDS
+                              for b in NONTERMINAL_KINDS)]
+
+    def vocab(pool):
+        entries = draw(st.lists(st.sampled_from(pool + ["zz", "Q^R"]), unique=True, max_size=30))
+        return Vocab([(entry, draw(st.integers(1, 9))) for entry in entries])
+
+    return Vocabs(vocab(VALUES), vocab(texts + ["Name^Block_Name"]), vocab(LABELS))
+
+
+class TestEncodingOracle:
+    @given(example_routes(), vocabularies(), vocabularies(), st.sampled_from(sorted(ABLATIONS)),
+           st.integers(1, 12), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_batches_hold_the_ids_of_looking_up_each_string(self, route_examples, vocabs_a,
+                                                           vocabs_b, ablation, k_max, seed,
+                                                           data):
+        route, examples = route_examples
+        ablation = ABLATIONS[ablation]
+
+        def same(examples, positions, vocabs, epoch):
+            got = encode_batch(examples, positions, vocabs, k_max, seed, ablation, epoch)
+            want = reference_encode_batch(examples, positions, vocabs, k_max, seed, ablation,
+                                          epoch)
+            for name in ("label_id", "sources", "paths", "targets", "mask"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name), name)
+
+        if route == "read":  # encode before the read is over: the table grows after it
+            first = next(examples)
+            same([first], [0], vocabs_a, 0)
+            examples = [first, *examples]
+        positions = data.draw(st.lists(st.sampled_from(range(len(examples))), min_size=1))
+        for epoch, vocabs in enumerate([vocabs_a, vocabs_b, vocabs_a]):
+            same(examples, positions, vocabs, epoch % 2)
+
+
+class TestHeldMemory:
+    def test_a_read_holds_at_most_40_bytes_per_context(self):
+        # 12 B of codes per context, plus the distinct strings packed in
+        # their table: about 300 B per context when each context held its
+        # strings and AstPath.
+        rng = np.random.default_rng(5)
+        methods = [parse_methods(long_minij_method(rng, size))[0] for size in (100, 200)]
+        out = io.StringIO()
+        write_dataset([method_to_example(ast, ExtractionLimits(8, 2)) for ast in methods], out)
+        lines = out.getvalue().splitlines(keepends=True)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            examples = list(read_dataset(lines))
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        contexts = sum(len(e.contexts) for e in examples)
+        assert contexts > 20_000
+        assert held <= 40 * contexts
+        assert examples == [method_to_example(ast, ExtractionLimits(8, 2)) for ast in methods]

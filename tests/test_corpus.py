@@ -236,6 +236,15 @@ class TestDatasetFormat:
         with pytest.raises(DatasetFormatError, match="holds a space, CR or LF"):
             RawExample(label, [])
 
+    def test_label_with_cr_names_its_line(self):
+        # A library stream keeps the CR that a text-mode file translates.
+        with pytest.raises(DatasetFormatError,
+                           match=r"^line 1: label 'getX\\r' holds a space, CR or LF$"):
+            list(read_dataset(["getX\r\n"]))
+        with pytest.raises(DatasetFormatError,
+                           match=r"^line 2: label 'getY\\r' holds a space, CR or LF$"):
+            list(read_dataset(["getX x,A^B,y\n", "getY\r x,A^B,y\n"]))
+
     def test_file_not_utf8(self, tmp_path):
         path = tmp_path / "bad.c2v"
         path.write_bytes(b"getX x,NameExpr^Return,y\nget\xff\n")
@@ -325,3 +334,10 @@ class TestVocabFormat:
             parse_vocabs("value\tonly_two_fields\n")
         with pytest.raises(DatasetFormatError):
             parse_vocabs("nokind\tx\t3\n")
+
+    @pytest.mark.parametrize("count", ["1_0", " 3", "3 ", "+3", "007", "\u0663", "", "-", "x"])
+    def test_count_only_as_format_vocabs_writes_it(self, count):
+        # Reproduction: int() read `1_0` as 10, so a re-save wrote other bytes.
+        with pytest.raises(DatasetFormatError, match=r"^vocab line 2: bad count$"):
+            parse_vocabs(f"value\ty\t4\nvalue\tx\t{count}\n")
+        assert parse_vocabs("value\ty\t4\nvalue\tx\t10\n").values.counts == [0, 0, 4, 10]
