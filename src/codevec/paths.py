@@ -15,7 +15,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .ast_tree import Ast, normalize_value
-from .errors import DatasetFormatError
+from .errors import CodevecError, DatasetFormatError
 
 UP = "U"
 DOWN = "D"
@@ -67,11 +67,11 @@ class SymbolTable:
     index, shared by the examples of one read or one extraction. A code is a
     position in `values` or `texts`, in order of first sight.
 
-    While a read fills the table, `value_codes[value]` and `path_codes[text]`
-    give the code of a string, numbering it on first sight. `seal` ends the
-    read. `paths()` gives the AstPaths by code: the walk appends its own, and
-    a read's are parsed when first asked for. `ids` maps the table through a
-    Vocab once per Vocab.
+    While a read or the walk fills the table, `value_codes[value]` and
+    `path_codes[text]` give the code of a string, numbering it on first
+    sight. `seal` ends a read. `path(code)` gives the AstPath of a path
+    code, parsed from its string when first asked for. `ids` maps the
+    table through a Vocab once per Vocab.
     """
 
     __slots__ = ("values", "texts", "value_codes", "path_codes", "_paths", "_symbols", "_ids",
@@ -82,7 +82,7 @@ class SymbolTable:
         self.texts: Sequence[str] = []
         self.value_codes: dict[str, int] | None = _Numbering()
         self.path_codes: dict[str, int] | None = _Numbering()
-        self._paths: list[AstPath] = []
+        self._paths: dict[int, AstPath] = {}
         self._symbols = np.empty(0, object)
         self._ids = (WeakKeyDictionary(), WeakKeyDictionary())
 
@@ -90,13 +90,13 @@ class SymbolTable:
         """Drop the dicts and any AstPaths parsed so far, and pack the
         strings, none of which holds a space."""
         self.value_codes = self.path_codes = None
-        self.values, self.texts, self._paths = _Packed(self.values), _Packed(self.texts), []
+        self.values, self.texts, self._paths = _Packed(self.values), _Packed(self.texts), {}
 
-    def paths(self) -> list[AstPath]:
-        """The AstPaths by code."""
-        if len(self._paths) < len(self.texts):
-            self._paths += map(path_from_string, islice(self.texts, len(self._paths), None))
-        return self._paths
+    def path(self, code: int) -> AstPath:
+        """The AstPath of path code `code`, shared by every context that holds it."""
+        if code not in self._paths:
+            self._paths[code] = path_from_string(self.texts[code])
+        return self._paths[code]
 
     def symbols(self) -> np.ndarray:
         """The value strings, the path strings, ',' and ' ' as one object
@@ -173,12 +173,12 @@ class Contexts(Sequence):
             return Contexts(self.codes[index], self.table)
         source, path, target = self.codes[index].tolist()
         values = self.table.values
-        return PathContext(values[source], self.table.paths()[path], values[target])
+        return PathContext(values[source], self.table.path(path), values[target])
 
     def __iter__(self):
-        values, paths = self.table.values, self.table.paths()
+        values, path_of = self.table.values, self.table.path
         for source, path, target in self.codes.tolist():
-            yield PathContext(values[source], paths[path], values[target])
+            yield PathContext(values[source], path_of(path), values[target])
 
     def __eq__(self, other):
         return list(self) == list(other) if isinstance(other, (Contexts, list)) else NotImplemented
@@ -196,6 +196,12 @@ class ExtractionLimits:
             raise ValueError("max_width must be >= 0")
 
 
+# The most path-contexts one method may yield. Pairs grow with the square of
+# a node's breadth, so one 12 KB method can yield a million: a method past
+# this fails, as one nested past minij.MAX_NESTING does.
+MAX_CONTEXTS = 1 << 18
+
+
 def extract_path_contexts(ast: Ast, limits: ExtractionLimits) -> Contexts:
     """One path-context per unordered terminal pair (i < j in DFS order)
     whose connecting path passes the length and pivot-width limits.
@@ -205,58 +211,57 @@ def extract_path_contexts(ast: Ast, limits: ExtractionLimits) -> Contexts:
     max_length - 1 ancestors and, at each, descends only into the next
     max_width branches to the right, no deeper than the steps left. Right
     terminals under a nearer pivot come first in DFS order, so the output
-    is in pair order.
+    is in pair order. A path is numbered by its string, as a read numbers
+    it; its AstPath is parsed when a context that holds it is first read.
+    More than MAX_CONTEXTS contexts is a CodevecError.
     """
     nodes, parent, child_index = ast.nodes, ast.parent, ast.child_index
     terminals = ast.terminals()
     table = SymbolTable()
-    value_code = table.value_codes.__getitem__
+    value_code, path_code = table.value_codes.__getitem__, table.path_codes.__getitem__
     values = {n: value_code(normalize_value(nodes[n].kind, nodes[n].value)) for n in terminals}
-    below = {}  # (branch, budget) -> _descend's list, shared by many left terminals
-    shared = {}  # (kinds up, kinds down) -> the code of their one AstPath
-    codes = []
-    append = codes.append
+    below = {}  # (branch, budget) -> _descend's lists, shared by many left terminals
+    paths, targets, counts = array("i"), array("i"), []
     for left in terminals:
-        ups, up_text, branch = (nodes[left].kind,), nodes[left].kind, left
+        up_text, branch, start = nodes[left].kind, left, len(paths)
         for steps_up in range(1, min(limits.max_length, ast.depth[left] + 1)):
             pivot = parent[branch]
-            ups += (nodes[pivot].kind,)
-            up_text += "^" + ups[-1]
+            up_text += "^" + nodes[pivot].kind
             budget = limits.max_length - steps_up
             first = child_index[branch] + 1
             for right in nodes[pivot].children[first:first + limits.max_width]:
                 if (right, budget) not in below:
                     below[right, budget] = _descend(nodes, values, right, budget)
-                for downs, down_text, value in below[right, budget]:
-                    path = shared.get((ups, downs))
-                    if path is None:
-                        path = shared[ups, downs] = len(table.texts)
-                        table.texts.append(up_text + down_text)
-                        table._paths.append(AstPath._with_text(
-                            ups + downs, (UP,) * steps_up + (DOWN,) * len(downs),
-                            table.texts[-1]))
-                    append(values[left])
-                    append(path)
-                    append(value)
+                texts, codes = below[right, budget]
+                if len(paths) + len(texts) > MAX_CONTEXTS:
+                    raise CodevecError(f"{len(paths) + len(texts)} path-contexts, more than "
+                                       f"the {MAX_CONTEXTS} allowed per method")
+                paths.extend(map(path_code, map(up_text.__add__, texts)))
+                targets.extend(codes)
             branch = pivot
+        counts.append(len(paths) - start)
     table.values += table.value_codes
-    return Contexts(np.fromiter(codes, np.int32, len(codes)).reshape(-1, 3), table)
+    table.texts += table.path_codes
+    columns = np.empty((len(paths), 3), np.int32)
+    columns[:, 0] = np.repeat([values[left] for left in terminals], counts)
+    columns[:, 1], columns[:, 2] = paths, targets
+    return Contexts(columns, table)
 
 
-def _descend(nodes, values, branch: int, budget: int) -> list:
-    """(kinds from `branch` down, their `_Kind_Kind` text, value code) of each
+def _descend(nodes, values, branch: int, budget: int) -> tuple[list[str], array]:
+    """The `_Kind_Kind` text from `branch` down, and the value code, of each
     terminal at most `budget` nodes deep in `branch`, in DFS order."""
-    found = []
-    stack = [(branch, (nodes[branch].kind,), "_" + nodes[branch].kind)]
+    texts, codes = [], array("i")
+    stack = [(branch, 1, "_" + nodes[branch].kind)]
     while stack:
-        node_id, kinds, text = stack.pop()
+        node_id, depth, text = stack.pop()
         if nodes[node_id].is_terminal:
-            found.append((kinds, text, values[node_id]))
-        elif len(kinds) < budget:
+            texts.append(text)
+            codes.append(values[node_id])
+        elif depth < budget:
             for child in reversed(nodes[node_id].children):
-                kind = nodes[child].kind
-                stack.append((child, kinds + (kind,), text + "_" + kind))
-    return found
+                stack.append((child, depth + 1, text + "_" + nodes[child].kind))
+    return texts, codes
 
 
 _PATH_SPLIT_RE = re.compile(r"([\^_])")

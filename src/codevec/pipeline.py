@@ -51,7 +51,8 @@ def strip_method_name(ast: Ast) -> Ast:
 def method_to_example(ast: Ast, limits: ExtractionLimits) -> RawExample:
     """Dataset example for one method: label from the declaration, contexts
     extracted from the body with the name terminal removed. A MethodDecl
-    whose only child is its Name has no contexts."""
+    whose only child is its Name has no contexts; one with more than
+    paths.MAX_CONTEXTS is a CodevecError that names it."""
     for kind in dict.fromkeys(node.kind for node in ast.nodes):
         if _BAD_KIND_RE.search(kind):
             raise DatasetFormatError(f"kind {kind!r} holds ',' or leaves an empty "
@@ -60,4 +61,8 @@ def method_to_example(ast: Ast, limits: ExtractionLimits) -> RawExample:
     if len(ast.node(ast.root).children) == 1:
         return RawExample(label, [])
     stripped = strip_method_name(ast)
-    return RawExample(label, extract_path_contexts(stripped, limits))
+    try:
+        contexts = extract_path_contexts(stripped, limits)
+    except CodevecError as exc:  # over paths.MAX_CONTEXTS
+        raise CodevecError(f"method {label!r}: {exc}") from None
+    return RawExample(label, contexts)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import os
 import re
@@ -22,11 +23,11 @@ from codevec.metrics import evaluate
 from codevec.minij import MAX_NESTING, parse_methods
 from codevec.model import (MAX_SLOTS, AttentionVariant, load_model, predict_topk,
                            save_model)
-from codevec.paths import ExtractionLimits, path_to_string
+from codevec.paths import MAX_CONTEXTS, ExtractionLimits, path_to_string
 from codevec.pipeline import method_to_example
 
-from conftest import (NESTING_SHAPES, deep_method, save_model_with, toy_minij_corpus,
-                      write_sexpr_ast)
+from conftest import (NESTING_SHAPES, deep_method, long_minij_method, save_model_with,
+                      toy_minij_corpus, write_sexpr_ast)
 
 GOOD_TREE = '(MethodDecl (Type "int") (Name "getX") (Block (Return (NameExpr "x"))))'
 
@@ -185,6 +186,37 @@ class TestExtract:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 2 and lines[1] == "g"
 
+    # blake2b (16 bytes) of the dataset `codevec extract` writes for each
+    # input, recorded when the walk still built an AstPath per path: a change
+    # to how the walk works must leave every byte of its output as it was.
+    EXTRACT_DIGESTS = {
+        "toy.mj": "d7016d1c10ff2d33358d93d25f264255",
+        "toy.sexpr": "d7016d1c10ff2d33358d93d25f264255",
+        "odd.sexpr": "f26baf0ade00640ead1fe5c8332120e7",
+        "long1.mj": "b7c56927546ebd719a4afd906e2ec3a0",
+        "long2.mj": "03d751690ad543899b90d3a8716bd642",
+        "long3.mj": "a5bcb82794153f7cc6fba6bfa8a14268",
+    }
+
+    def test_output_is_pinned_by_digest(self, tmp_path, capsys):
+        toy = "\n".join(toy_minij_corpus()) + "\n"
+        sexpr = "\n".join(map(write_sexpr_ast, parse_methods(toy))) + "\n"
+        inputs = {"toy.mj": toy, "toy.sexpr": sexpr,
+                  # Kinds that hold '_' and '^' give path strings that read
+                  # back as other kinds; the text stays as the tree spells it.
+                  "odd.sexpr": sexpr.replace("(Block", "(Block_stmt")
+                                    .replace("(IfStmt", "(If^Stmt")}
+        for seed in (1, 2, 3):
+            inputs[f"long{seed}.mj"] = long_minij_method(np.random.default_rng(seed), 200) + "\n"
+        digests = {}
+        for name, text in inputs.items():
+            src, out = tmp_path / name, tmp_path / f"{name}.c2v"
+            src.write_text(text, encoding="utf-8")
+            assert main(["extract", str(src), "-o", str(out)]) == 0
+            digests[name] = hashlib.blake2b(out.read_bytes(), digest_size=16).hexdigest()
+        assert "Traceback" not in capsys.readouterr().err
+        assert digests == self.EXTRACT_DIGESTS
+
 
 class TestVocab:
     def test_bad_dataset(self, tmp_path):
@@ -233,6 +265,35 @@ class TestTrainPredictEval:
         assert done.stdout == ""
         assert re.fullmatch(r"codevec: out of memory: [^\n]+\n", done.stderr), done.stderr
         assert not (tmp_path / "m.bin").exists()
+
+    @pytest.mark.parametrize("command", ["extract", "predict"])
+    def test_method_past_the_context_budget_is_data_error(self, command, tmp_path, request):
+        # 3000 x 3000 right pairs under the `+`: about 9M contexts, which the
+        # walk stops short of. A child process reports the time main() took
+        # and its own peak RSS.
+        resource = pytest.importorskip("resource")
+        src = tmp_path / "wide.mj"
+        src.write_text("int f() { return g(%s) + h(%s); }\n"
+                       % (", ".join(f"x{i}" for i in range(3000)),
+                          ", ".join(f"y{i}" for i in range(3000))), encoding="utf-8")
+        script = ("import resource, sys, time; from codevec.cli import main; "
+                  "start = time.perf_counter(); code = main(sys.argv[1:]); "
+                  "print(time.perf_counter() - start, "
+                  "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); "
+                  "sys.exit(code)")
+        argv = (["extract", str(src), "-o", str(tmp_path / "o.c2v")] if command == "extract"
+                else ["predict", "--model", str(request.getfixturevalue("model_file")), str(src)])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(codevec.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+        assert re.search(rf"^{re.escape(str(src))}: method 'f': (\d+) path-contexts, more than "
+                         rf"the {MAX_CONTEXTS} allowed per method$", done.stderr, re.M)
+        seconds, peak = done.stderr.splitlines()[-1].split()
+        peak_mb = int(peak) / (1 << (20 if sys.platform == "darwin" else 10))
+        assert float(seconds) < 1.0 and peak_mb < 100, done.stderr
 
     def test_train_logs_epochs(self, dataset_file, tmp_path, capsys):
         out = tmp_path / "m.bin"

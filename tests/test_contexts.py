@@ -171,9 +171,13 @@ class TestNoObjectPerContext:
     def test_extraction_keeps_no_object_per_context(self):
         (ast,) = parse_methods(long_minij_method(np.random.default_rng(5), 200))
         example, grown = tracked_growth(lambda: method_to_example(ast, ExtractionLimits(8, 2)))
-        distinct = len(set(example.contexts.table.texts))
-        assert len(example.contexts) > 3 * distinct
-        assert grown <= 2 * distinct + 50
+        table = example.contexts.table
+        assert len(example.contexts) > 3 * len(table.texts)
+        assert grown <= 50
+        # The walk numbers path strings; an AstPath is parsed when read.
+        assert table._paths == {}
+        example.contexts[0]
+        assert len(table._paths) == 1
 
 
 LABELS = ["getX", "setY", "run", "size"]

@@ -1,5 +1,7 @@
+import io
 import re
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codevec.ast_tree import Ast, AstBuilder, AstNode, read_sexpr_asts
-from codevec.errors import DatasetFormatError
+from codevec.corpus import RawExample, read_dataset, write_dataset
+from codevec.errors import CodevecError, DatasetFormatError
 from codevec.minij import parse_methods
 from codevec.paths import (DOWN, UP, AstPath, ExtractionLimits, PathContext,
                            extract_path_contexts, path_from_string,
@@ -216,6 +219,41 @@ class TestPrunedWalk:
             assert len(self.assert_matches_oracle(ast, everything)) == pairs
 
 
+class TestContextBudget:
+    """A method past MAX_CONTEXTS fails before its contexts are built; below
+    it the walk's output is what it would be without the budget."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(0, 3), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_below_the_budget_the_output_is_unchanged(self, seed, length, width, data):
+        ast = random_ast(np.random.default_rng(seed), max_terminals=20)
+        limits = ExtractionLimits(length, width)
+        full = extract_path_contexts(ast, limits)
+        budget = data.draw(st.integers(0, len(full) + 2))
+        with mock.patch("codevec.paths.MAX_CONTEXTS", budget):
+            if len(full) > budget:
+                message = rf"^\d+ path-contexts, more than the {budget} allowed per method$"
+                with pytest.raises(CodevecError, match=message) as info:
+                    extract_path_contexts(ast, limits)
+                reached = int(info.value.args[0].split()[0])
+                assert budget < reached <= len(full)
+                return
+            got = extract_path_contexts(ast, limits)
+        np.testing.assert_array_equal(got.codes, full.codes)
+        assert got.codes.dtype == np.int32
+        assert list(got.table.values) == list(full.table.values)
+        assert list(got.table.texts) == list(full.table.texts)
+        assert got == full
+
+    def test_method_past_the_budget_is_named(self):
+        (ast,) = parse_methods("int getX() { return g(a, b, c) + h(d, e, f); }")
+        assert len(method_to_example(ast, ExtractionLimits()).contexts) == 34
+        with mock.patch("codevec.paths.MAX_CONTEXTS", 33):
+            with pytest.raises(CodevecError, match=r"^method 'getX': 34 path-contexts, more "
+                                                   r"than the 33 allowed per method$"):
+                method_to_example(ast, ExtractionLimits())
+
+
 class TestPathStrings:
     def test_example_path(self):
         path = AstPath(("NameExpr", "AssignExpr", "IntegerLiteralExpr"),
@@ -284,28 +322,33 @@ SPLICED = {**{kind: kind for kind in TERMINAL_KINDS + NONTERMINAL_KINDS},
            "Foreach": "F^or_each", "NameExpr": "Name_Expr"}
 
 
+def splice(ast: Ast) -> Ast:
+    """The tree with each kind replaced by its SPLICED kind."""
+    return Ast(tuple(AstNode(SPLICED[n.kind], n.children, n.value) for n in ast.nodes), ast.root)
+
+
 class TestPathConstruction:
-    """The walk and the reader build paths from text they already hold;
-    each must be the path that AstPath(kinds, directions) checks and renders."""
+    """The walk and the reader number paths by their strings, and a path is
+    what its string reads back as: the AstPath that AstPath(kinds,
+    directions) of that parse checks and renders."""
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(0, 3))
     @settings(max_examples=100, deadline=None)
     def test_walk_paths_are_the_checked_construction(self, seed, length, width):
         ast = random_ast(np.random.default_rng(seed), max_terminals=20)
-        spliced = Ast(tuple(AstNode(SPLICED[n.kind], n.children, n.value)
-                            for n in ast.nodes), ast.root)
         limits = ExtractionLimits(length, width)
         plain = extract_path_contexts(ast, limits)
-        odd = extract_path_contexts(spliced, limits)
+        odd = extract_path_contexts(splice(ast), limits)
         assert len(plain) == len(odd)
         for a, b in zip(plain, odd):
-            assert b.path.kinds == tuple(SPLICED[k] for k in a.path.kinds)
-            assert b.path.directions == a.path.directions
+            assert (b.source_value, b.target_value) == (a.source_value, a.target_value)
+            assert b.path.text == re.sub(r"[^\^_]+", lambda m: SPLICED[m[0]], a.path.text)
             for path in (a.path, b.path):
-                checked = AstPath(path.kinds, path.directions)
-                assert path == checked and path.text == checked.text
+                parsed = path_from_string(path.text)
+                checked = AstPath(parsed.kinds, parsed.directions)
+                assert path == parsed == checked and path.text == checked.text
 
-    def test_paths_with_one_text_keep_their_own_kinds(self):
+    def test_paths_with_one_text_share_one_code(self):
         # Both paths render NameExpr^Block^Call_NameExpr.
         builder = AstBuilder()
 
@@ -316,12 +359,36 @@ class TestPathConstruction:
             builder.nonterminal("Call", [builder.nonterminal("Block", [name("a")]),
                                          name("b")]),
             builder.nonterminal("Block^Call", [name("c"), name("d")])]))
-        contexts = {(c.source_value, c.target_value): c.path
-                    for c in extract_path_contexts(ast, ExtractionLimits(3, 1))}
-        first, second = contexts["a", "b"], contexts["c", "d"]
-        assert first.text == second.text == "NameExpr^Block^Call_NameExpr"
-        assert first.kinds == ("NameExpr", "Block", "Call", "NameExpr")
-        assert second.kinds == ("NameExpr", "Block^Call", "NameExpr")
+        contexts = extract_path_contexts(ast, ExtractionLimits(3, 1))
+        pairs = [(c.source_value, c.target_value) for c in contexts]
+        first, second = pairs.index(("a", "b")), pairs.index(("c", "d"))
+        assert contexts.codes[first, 1] == contexts.codes[second, 1]
+        assert contexts[first].path is contexts[second].path
+        assert contexts[first].path.text == "NameExpr^Block^Call_NameExpr"
+        assert contexts[first].path.kinds == ("NameExpr", "Block", "Call", "NameExpr")
+        assert len(set(contexts.table.texts)) == len(contexts.table.texts)
+
+    def test_example_from_a_kind_with_an_underscore_rebuilds(self):
+        # Reproduction: the walk kept `method_declaration` as one kind, which
+        # its path string does not read back as, so rebuilding the example
+        # from its own contexts raised "does not read back".
+        (ast,) = read_sexpr_asts('(MethodDecl (Type "int") (Name "getX") (method_declaration '
+                                 '(Return (NameExpr "x")) (NameExpr "y")))')
+        example = method_to_example(ast, ExtractionLimits())
+        assert example.contexts[0].path == path_from_string(
+            "Type^MethodDecl_method_declaration_Return_NameExpr")
+        rebuilt = RawExample(example.label, list(example.contexts))
+        assert rebuilt == example and example == rebuilt
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_extraction_with_spliced_kinds_reads_back(self, seed, length, width):
+        ast = splice(random_ast(np.random.default_rng(seed), max_terminals=20))
+        example = RawExample("f", extract_path_contexts(ast, ExtractionLimits(length, width)))
+        out = io.StringIO()
+        write_dataset([example], out)
+        (read,) = read_dataset(io.StringIO(out.getvalue()))
+        assert read.contexts == example.contexts and example.contexts == read.contexts
 
     @given(st.text(alphabet="ab^_", min_size=1, max_size=12))
     @settings(max_examples=300)
