@@ -234,7 +234,7 @@ def encode_batches(examples: list[RawExample], positions: Iterable[int], size: i
 # `<source>,<pathstring>,<target>`. Empty-context examples are a bare label.
 
 def format_context(ctx: PathContext) -> str:
-    return f"{ctx.source_value},{ctx.path.text},{ctx.target_value}"
+    return f"{ctx.source_value},{ctx.path},{ctx.target_value}"
 
 
 def format_example(example: RawExample) -> str:
@@ -253,8 +253,7 @@ def format_example(example: RawExample) -> str:
 
 def parse_example(line: str, lineno: int = 0, table: SymbolTable | None = None) -> RawExample:
     """One dataset line, its contexts coded in `table` (a new one when None).
-    A path string new to the table is checked once; its AstPath is built
-    when a context that holds it is read."""
+    A path string new to the table is checked once."""
     table = SymbolTable() if table is None else table
     label, space, rest = line.partition(" ")
     if not label:
@@ -291,7 +290,7 @@ def write_dataset(examples: Iterable[RawExample], stream: TextIO) -> None:
 
 def read_dataset(stream: Iterable[str]) -> Iterator[RawExample]:
     """The stream's examples, coded in one SymbolTable: each distinct
-    string is kept once and each distinct path string parsed once."""
+    string is kept and each distinct path string checked once."""
     table = SymbolTable()
     for lineno, line in enumerate(stream, start=1):
         line = line.rstrip("\n")

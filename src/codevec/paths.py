@@ -8,7 +8,7 @@ from __future__ import annotations
 import re
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, islice
 from weakref import WeakKeyDictionary
 
@@ -21,44 +21,42 @@ UP = "U"
 DOWN = "D"
 
 
-@dataclass(frozen=True)
-class AstPath:
-    """Alternating node kinds and movement directions between two terminals.
+class AstPath(str):
+    """A path string built from its parts: `kinds` joined by '^' for each UP
+    and '_' for each DOWN of `directions`. Its length is len(directions),
+    which must be len(kinds) - 1 >= 1, and every kind obeys the kind rule."""
 
-    len(kinds) == len(directions) + 1; directions form a run of ups
-    followed by a run of downs. Path length is the number of steps
-    (len(directions)), following the step-indexed definition. `text` is
-    the path string, rendered once: kinds joined by '^' (up) and '_' (down).
-    """
+    __slots__ = ()
 
-    kinds: tuple[str, ...]
-    directions: tuple[str, ...]
-    text: str = field(init=False, repr=False, compare=False)
+    def __new__(cls, kinds: Sequence[str], directions: Sequence[str]):
+        if len(kinds) != len(directions) + 1 or not directions:
+            raise ValueError("a path needs len(kinds) == len(directions) + 1 >= 2")
+        for kind in kinds:
+            _check_kind(kind)
+        steps = [("^" if direction == UP else "_") + kind
+                 for direction, kind in zip(directions, kinds[1:])]
+        return super().__new__(cls, kinds[0] + "".join(steps))
 
-    def __post_init__(self):
-        if len(self.kinds) != len(self.directions) + 1:
-            raise ValueError("kinds/directions length mismatch")
-        if not self.directions:
-            raise ValueError("path must have at least one step")
-        parts = [self.kinds[0]]
-        for direction, kind in zip(self.directions, self.kinds[1:]):
-            parts.append("^" if direction == UP else "_")
-            parts.append(kind)
-        object.__setattr__(self, "text", "".join(parts))
 
-    @classmethod
-    def _with_text(cls, kinds: tuple[str, ...], directions: tuple[str, ...],
-                   text: str) -> AstPath:
-        """A path whose caller holds its valid shape and `text`: no check, no render."""
-        path = object.__new__(cls)
-        path.__dict__.update(kinds=kinds, directions=directions, text=text)
-        return path
+# A dataset line splits its contexts on ' ', a context on ',' and a file into
+# lines on CR and LF. The kind rule: a kind holds none of these, and split on
+# '^' and '_' it leaves no empty piece. A read checks the pieces of each path
+# string it meets, as its chunks hold no ' ' or ','.
+_KIND_RE = re.compile(r"[^\^_ ,\r\n]+(?:[\^_][^\^_ ,\r\n]+)*")
+PATH_STRING_RE = re.compile(r"[^\^_]+(?:[\^_][^\^_]+)+")
+
+
+def _check_kind(kind: str) -> None:
+    """A DatasetFormatError naming `kind` unless it obeys the kind rule."""
+    if not _KIND_RE.fullmatch(kind):
+        raise DatasetFormatError(f"kind {kind!r} holds ',' or leaves an empty piece when "
+                                 "split on '^' and '_', or holds a space, CR or LF")
 
 
 @dataclass(slots=True)
 class PathContext:
     source_value: str
-    path: AstPath
+    path: str
     target_value: str
 
 
@@ -69,12 +67,11 @@ class SymbolTable:
 
     While a read or the walk fills the table, `value_codes[value]` and
     `path_codes[text]` give the code of a string, numbering it on first
-    sight. `seal` ends a read. `path(code)` gives the AstPath of a path
-    code, parsed from its string when first asked for. `ids` maps the
-    table through a Vocab once per Vocab.
+    sight. `seal` ends a read. `ids` maps the table through a Vocab once
+    per Vocab.
     """
 
-    __slots__ = ("values", "texts", "value_codes", "path_codes", "_paths", "_symbols", "_ids",
+    __slots__ = ("values", "texts", "value_codes", "path_codes", "_symbols", "_ids",
                  "__weakref__")
 
     def __init__(self):
@@ -82,21 +79,13 @@ class SymbolTable:
         self.texts: Sequence[str] = []
         self.value_codes: dict[str, int] | None = _Numbering()
         self.path_codes: dict[str, int] | None = _Numbering()
-        self._paths: dict[int, AstPath] = {}
         self._symbols = np.empty(0, object)
         self._ids = (WeakKeyDictionary(), WeakKeyDictionary())
 
     def seal(self) -> None:
-        """Drop the dicts and any AstPaths parsed so far, and pack the
-        strings, none of which holds a space."""
+        """Drop the dicts and pack the strings, none of which holds a space."""
         self.value_codes = self.path_codes = None
-        self.values, self.texts, self._paths = _Packed(self.values), _Packed(self.texts), {}
-
-    def path(self, code: int) -> AstPath:
-        """The AstPath of path code `code`, shared by every context that holds it."""
-        if code not in self._paths:
-            self._paths[code] = path_from_string(self.texts[code])
-        return self._paths[code]
+        self.values, self.texts = _Packed(self.values), _Packed(self.texts)
 
     def symbols(self) -> np.ndarray:
         """The value strings, the path strings, ',' and ' ' as one object
@@ -173,12 +162,12 @@ class Contexts(Sequence):
             return Contexts(self.codes[index], self.table)
         source, path, target = self.codes[index].tolist()
         values = self.table.values
-        return PathContext(values[source], self.table.path(path), values[target])
+        return PathContext(values[source], self.table.texts[path], values[target])
 
     def __iter__(self):
-        values, path_of = self.table.values, self.table.path
+        values, texts = self.table.values, self.table.texts
         for source, path, target in self.codes.tolist():
-            yield PathContext(values[source], path_of(path), values[target])
+            yield PathContext(values[source], texts[path], values[target])
 
     def __eq__(self, other):
         return list(self) == list(other) if isinstance(other, (Contexts, list)) else NotImplemented
@@ -212,10 +201,12 @@ def extract_path_contexts(ast: Ast, limits: ExtractionLimits) -> Contexts:
     max_width branches to the right, no deeper than the steps left. Right
     terminals under a nearer pivot come first in DFS order, so the output
     is in pair order. A path is numbered by its string, as a read numbers
-    it; its AstPath is parsed when a context that holds it is first read.
-    More than MAX_CONTEXTS contexts is a CodevecError.
+    it. A kind of the tree that breaks the kind rule is a DatasetFormatError;
+    more than MAX_CONTEXTS contexts is a CodevecError.
     """
     nodes, parent, child_index = ast.nodes, ast.parent, ast.child_index
+    for kind in dict.fromkeys(node.kind for node in nodes):
+        _check_kind(kind)
     terminals = ast.terminals()
     table = SymbolTable()
     value_code, path_code = table.value_codes.__getitem__, table.path_codes.__getitem__
@@ -264,23 +255,6 @@ def _descend(nodes, values, branch: int, budget: int) -> tuple[list[str], array]
     return texts, codes
 
 
-_PATH_SPLIT_RE = re.compile(r"([\^_])")
-# Kinds separated by at least one '^' or '_', no kind empty.
-PATH_STRING_RE = re.compile(r"[^\^_]+(?:[\^_][^\^_]+)+")
-
-
 def path_to_string(path: AstPath) -> str:
-    """Kinds joined by '^' (up) and '_' (down): the path's `text`."""
-    return path.text
-
-
-def path_from_string(text: str) -> AstPath:
-    """Inverse of path_to_string."""
-    if not PATH_STRING_RE.fullmatch(text):
-        raise DatasetFormatError(f"malformed path string {text!r}")
-    pieces = _PATH_SPLIT_RE.split(text)
-    kinds = pieces[0::2]
-    seps = pieces[1::2]
-    directions = tuple(UP if s == "^" else DOWN for s in seps)
-    return AstPath._with_text(tuple(kinds), directions, text)
-
+    """Kinds joined by '^' (up) and '_' (down): the path as a plain str."""
+    return str(path)

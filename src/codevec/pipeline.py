@@ -4,16 +4,10 @@ and emits the dataset example."""
 
 from __future__ import annotations
 
-import re
-
 from .ast_tree import Ast, AstNode
 from .corpus import RawExample
-from .errors import CodevecError, DatasetFormatError
+from .errors import CodevecError
 from .paths import ExtractionLimits, extract_path_contexts
-
-# A kind is spliced into path strings, which split contexts on ',' and
-# kinds on '^' and '_': one with ',' or an empty piece would not read back.
-_BAD_KIND_RE = re.compile(r",|^[\^_]|[\^_]$|[\^_][\^_]")
 
 
 def _name_child(ast: Ast) -> int:
@@ -51,18 +45,15 @@ def strip_method_name(ast: Ast) -> Ast:
 def method_to_example(ast: Ast, limits: ExtractionLimits) -> RawExample:
     """Dataset example for one method: label from the declaration, contexts
     extracted from the body with the name terminal removed. A MethodDecl
-    whose only child is its Name has no contexts; one with more than
-    paths.MAX_CONTEXTS is a CodevecError that names it."""
-    for kind in dict.fromkeys(node.kind for node in ast.nodes):
-        if _BAD_KIND_RE.search(kind):
-            raise DatasetFormatError(f"kind {kind!r} holds ',' or leaves an empty "
-                                     "piece when split on '^' and '_'")
+    whose only child is its Name has no contexts. The walk's errors, a kind
+    that breaks the kind rule or more than paths.MAX_CONTEXTS contexts, name
+    the method."""
     label = method_label(ast)
     if len(ast.node(ast.root).children) == 1:
         return RawExample(label, [])
     stripped = strip_method_name(ast)
     try:
         contexts = extract_path_contexts(stripped, limits)
-    except CodevecError as exc:  # over paths.MAX_CONTEXTS
-        raise CodevecError(f"method {label!r}: {exc}") from None
+    except CodevecError as exc:
+        raise type(exc)(f"method {label!r}: {exc}") from None
     return RawExample(label, contexts)

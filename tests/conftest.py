@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import struct
 from collections import Counter
 from dataclasses import replace
@@ -64,6 +65,20 @@ def random_path(rng: np.random.Generator) -> AstPath:
              + [str(rng.choice(TERMINAL_KINDS))])
     directions = (UP,) * ups + (DOWN,) * downs
     return AstPath(tuple(kinds), directions)
+
+
+def split_path(text: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The (kinds, directions) of a path string, split on '^' (UP) and '_'
+    (DOWN): the parts `AstPath` renders, when no kind holds '^' or '_'."""
+    pieces = re.split(r"([\^_])", text)
+    return tuple(pieces[0::2]), tuple(UP if sep == "^" else DOWN for sep in pieces[1::2])
+
+
+def reverse_path(path: str) -> AstPath:
+    """Mirror a path: reversed kinds, flipped and reversed directions."""
+    kinds, directions = split_path(path)
+    flipped = tuple(DOWN if d == UP else UP for d in reversed(directions))
+    return AstPath(tuple(reversed(kinds)), flipped)
 
 
 def deep_method(depth: int) -> Ast:
@@ -216,7 +231,7 @@ def reference_encode_example(raw, vocabs: Vocabs, k_max: int, rng,
     sources[:n] = (UNK_ID if ablation.hide_source
                    else [value_id(c.source_value, UNK_ID) for c in contexts])
     paths[:n] = (UNK_ID if ablation.hide_path
-                 else [path_id(c.path.text, UNK_ID) for c in contexts])
+                 else [path_id(c.path, UNK_ID) for c in contexts])
     targets[:n] = (UNK_ID if ablation.hide_target
                    else [value_id(c.target_value, UNK_ID) for c in contexts])
     mask = np.zeros(k_max, dtype=np.float64)

@@ -21,8 +21,7 @@ from codevec.minij import parse_methods
 from codevec.model import (AttentionVariant, ModelDims, forward, init_params,
                            load_model, predict_topk, save_model)
 from codevec.paths import (ExtractionLimits, PathContext,
-                           extract_path_contexts, path_from_string,
-                           path_to_string)
+                           extract_path_contexts, path_to_string)
 from codevec.training import TrainConfig, train
 from codevec.vectors import NameVectorTable, sum_of_cosines_ranking
 
@@ -217,11 +216,9 @@ def _synthetic_corpus(rng, by_structure):
         for _ in range(6):
             j = int(rng.integers(6))
             if by_structure:
-                path = path_from_string(f"K{i}{j}^Mid_L{i}{j}")
-                contexts.append(PathContext("v", path, "v"))
+                contexts.append(PathContext("v", f"K{i}{j}^Mid_L{i}{j}", "v"))
             else:
-                path = path_from_string("A^Mid_B")
-                contexts.append(PathContext(f"w{i}{j}", path, f"w{i}{j}"))
+                contexts.append(PathContext(f"w{i}{j}", "A^Mid_B", f"w{i}{j}"))
         examples.append(RawExample(labels[i], contexts))
     return examples
 
@@ -263,7 +260,7 @@ def test_serialization(tmp_path):
     rng = np.random.default_rng(109)
     dims = ModelDims(d=8, num_values=12, num_paths=9, num_tags=7, k_max=5)
     examples = [RawExample(f"tag{i}",
-                           [PathContext("x", path_from_string("A^M_B"), "7")])
+                           [PathContext("x", "A^M_B", "7")])
                 for i in range(5)]
     vocabs = build_vocabs(examples)
     dims = ModelDims(8, len(vocabs.values), len(vocabs.paths),

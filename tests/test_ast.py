@@ -11,8 +11,8 @@ from codevec.minij import MAX_NESTING, _lex, parse_methods
 from codevec.paths import ExtractionLimits, path_to_string
 from codevec.pipeline import method_to_example
 
-from conftest import (NESTING_SHAPES, deep_method, random_ast, structurally_equal,
-                      write_sexpr_ast)
+from conftest import (NESTING_SHAPES, deep_method, random_ast, split_path,
+                      structurally_equal, write_sexpr_ast)
 
 
 class TestAstModel:
@@ -51,8 +51,8 @@ class TestAstModel:
         assert not structurally_equal(ast, deep_method(depth - 1))
         example = method_to_example(ast, ExtractionLimits(max_length=depth + 5))
         assert example.label == "deep"
-        deep = [c for c in example.contexts if len(c.path.directions) > 8]
-        assert [(c.source_value, len(c.path.directions), c.target_value)
+        deep = [c for c in example.contexts if len(split_path(c.path)[1]) > 8]
+        assert [(c.source_value, len(split_path(c.path)[1]), c.target_value)
                 for c in deep] == [
             ("int", depth + 4, "x"), ("int", depth + 5, "x"), ("x", depth + 5, "x")]
         assert path_to_string(deep[0].path).startswith("Type^MethodDecl_Block_Return_")

@@ -2,16 +2,22 @@
 A binding that no longer resolves drops its span from a traced run, so every
 span name must keep at least one live binding, and every probed function
 the parameters its probe reads. Every other name the benchmark takes from
-`codevec` must resolve too, or the benchmark stops at its first use."""
+`codevec` must resolve too, or the benchmark stops at its first use, and the
+benchmark's inputs and reference checks must work with the library."""
 
 import ast
 import importlib
 import inspect
+import os
+import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import codevec
 from codevec.corpus import RawExample, build_vocabs
 from codevec.metrics import evaluate
 from codevec.minij import parse_methods
@@ -32,17 +38,32 @@ PROBED_PARAMETERS = {
 }
 
 
-@pytest.fixture(scope="module")
-def spans():
-    """perfbench/spans.py, imported without writing bytecode beside it."""
+@contextmanager
+def perfbench_modules(*names):
+    """The named perfbench/ modules, imported without writing bytecode
+    beside them, and dropped again on exit."""
     sys.path.insert(0, str(PERFBENCH))
     dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
-        yield importlib.import_module("spans")
+        yield [importlib.import_module(name) for name in names]
     finally:
         sys.dont_write_bytecode = dont_write
         sys.path.remove(str(PERFBENCH))
-        sys.modules.pop("spans", None)
+        for name in names:
+            sys.modules.pop(name, None)
+
+
+@pytest.fixture(scope="module")
+def spans():
+    with perfbench_modules("spans") as (module,):
+        yield module
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """perfbench/inputs.py and perfbench/checks.py."""
+    with perfbench_modules("inputs", "checks") as modules:
+        yield modules
 
 
 def resolve(module_name: str, attr: str):
@@ -130,6 +151,44 @@ def test_every_name_perfbench_takes_from_codevec_resolves():
             "normalize_value", "PAD_ID", "UNK_ID", "corpus.read_dataset",
             "model.forward"} <= names
     assert [ref for ref in sorted(references) if not resolves(*ref[1:])] == []
+
+
+# The paper workload builds its examples from AstPaths and PathContexts.
+PAPER_READ_BACK = """
+import io, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+import checks, inputs
+from codevec.corpus import read_dataset, write_dataset
+examples = inputs.PaperCorpus(np.random.default_rng(1)).examples(4)
+out = io.StringIO()
+write_dataset(examples, out)
+read = list(read_dataset(io.StringIO(out.getvalue())))
+assert read == examples
+assert list(map(checks.as_triples, read)) == list(map(checks.as_triples, examples))
+print(sum(len(example.contexts) for example in read))
+"""
+
+
+def test_paper_examples_read_back():
+    # In a child process: the 50k-entry vocabularies of the paper workload
+    # take some 20 MB, which would stay in this process's peak RSS, and the
+    # child processes of later tests report that peak as part of their own.
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(Path(codevec.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", PAPER_READ_BACK, str(PERFBENCH)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) >= 4 * 100
+
+
+def test_long_method_contexts_match_the_benchmark_reference(bench):
+    inputs, checks = bench
+    (ast,) = parse_methods(inputs.long_method(np.random.default_rng(1), "processOrders", 60))
+    limits = ExtractionLimits()
+    example = method_to_example(ast, limits)
+    assert len(example.contexts) > 1000
+    assert checks.as_triples(example) == checks.reference_contexts(ast, limits)
 
 
 def test_the_spans_see_every_encode_and_validation(spans):

@@ -137,9 +137,9 @@ class TestExtract:
 
     @pytest.mark.parametrize("command", ["extract", "predict"])
     @pytest.mark.parametrize("kind,name,message", [
-        ("Re,turn", "getX", "kind 'Re,turn' holds ',' or leaves an empty piece"),
-        ("_Ret", "getX", "kind '_Ret' holds ','"),
-        ("A_", "getX", "kind 'A_' holds ','"),
+        ("Re,turn", "getX", "method 'getX': kind 'Re,turn' holds ',' or leaves an empty piece"),
+        ("_Ret", "getX", "method 'getX': kind '_Ret' holds ','"),
+        ("A_", "getX", "method 'getX': kind 'A_' holds ','"),
         ("Return", "get X", "label 'get X' holds a space, CR or LF"),
         ("Return", "get\nX", "label 'get\\nX' holds a space, CR or LF"),
         ("Return", "get\rX", "label 'get\\nX' holds a space, CR or LF")])
@@ -172,7 +172,7 @@ class TestExtract:
         assert main(["extract", str(src), "-o", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count(f"{src}: ") == 1 and "Traceback" not in err
-        assert f"{src}: kind 'Re,turn' holds ','" in err and "1 failures" in err
+        assert f"{src}: method 'getY': kind 'Re,turn' holds ','" in err and "1 failures" in err
         assert [ex.label for ex in load_dataset(str(out))] == ["getX", "getZ"]
 
     def test_method_without_body_has_no_contexts(self, tmp_path, capsys):

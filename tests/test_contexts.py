@@ -95,26 +95,39 @@ class TestChecked:
     def test_value_that_would_not_read_back(self, value, side):
         source, target = (value, "c") if side == "source" else ("c", value)
         bad = PathContext(source, PATH, target)
-        chunk = f"{source},{PATH.text},{target}"
+        chunk = f"{source},{PATH},{target}"
         with pytest.raises(DatasetFormatError,
                            match=f"^example 'getX': context {re.escape(repr(chunk))} "):
             RawExample("getX", [PathContext("x", PATH, "y"), bad])
 
-    @pytest.mark.parametrize("kinds", [("Name Expr", "Return"), ("NameExpr", "A,B"),
-                                       ("NameExpr\r", "Return"), ("NameExpr", "\nReturn"),
-                                       ("NameExpr", "A^B"), ("Name_Expr", "Return"),
-                                       ("", "Return")])
-    def test_path_that_would_not_read_back(self, kinds):
-        path = AstPath(kinds, (UP,))
+    @pytest.mark.parametrize("path", ["Name Expr^Return", "NameExpr^A,B", "NameExpr\r^Return",
+                                      "NameExpr^\nReturn", "^Return", "NameExpr", "A^_B"])
+    def test_path_that_would_not_read_back(self, path):
         with pytest.raises(DatasetFormatError, match="^example 'getX': context "):
             RawExample("getX", [PathContext("x", path, "y")])
+
+    @pytest.mark.parametrize("kinds", [("Name Expr", "Return"), ("NameExpr", "A,B"),
+                                       ("NameExpr\r", "Return"), ("NameExpr", "\nReturn"),
+                                       ("", "Return")])
+    def test_path_whose_kind_breaks_the_rule_is_not_built(self, kinds):
+        with pytest.raises(DatasetFormatError, match="^kind "):
+            AstPath(kinds, (UP,))
+
+    @pytest.mark.parametrize("kinds", [("NameExpr", "A^B"), ("Name_Expr", "Return")])
+    def test_kind_holding_a_separator_reads_back_as_its_string(self, kinds):
+        path = AstPath(kinds, (UP,))
+        example = RawExample("getX", [PathContext("x", path, "y")])
+        out = io.StringIO()
+        write_dataset([example], out)
+        (read,) = read_dataset(io.StringIO(out.getvalue()))
+        assert read == example and read.contexts[0].path == path == "^".join(kinds)
 
     def test_value_with_lf_cannot_reach_a_model(self, tmp_path):
         # Reproduction: vocabularies built over such a value gave a model
         # file that load_model rejected.
         with pytest.raises(DatasetFormatError, match=r"'a\\nb,NameExpr\^"):
             RawExample("getX", [PathContext("a\nb", PATH, "c")])
-        vocabs = Vocabs(Vocab([("a\nb", 3)]), Vocab([(PATH.text, 3)]), Vocab([("getX", 1)]))
+        vocabs = Vocabs(Vocab([("a\nb", 3)]), Vocab([(PATH, 3)]), Vocab([("getX", 1)]))
         with pytest.raises(DatasetFormatError, match=r"value vocabulary entry 'a\\nb' holds LF"):
             format_vocabs(vocabs)
         params = init_params(ModelDims(4, 3, 3, 3, 2), AttentionVariant.SOFT, 0)
@@ -131,8 +144,7 @@ class TestChecked:
 
     @given(st.text(max_size=6),
            st.lists(st.builds(PathContext, TOKENS,
-                              st.builds(AstPath, st.tuples(TOKENS, TOKENS),
-                                        st.sampled_from([(UP,), (DOWN,)])),
+                              st.builds("{}{}{}".format, TOKENS, st.sampled_from("^_"), TOKENS),
                               TOKENS), max_size=4))
     @settings(max_examples=400)
     def test_every_example_that_constructs_reads_back(self, label, contexts):
@@ -174,10 +186,19 @@ class TestNoObjectPerContext:
         table = example.contexts.table
         assert len(example.contexts) > 3 * len(table.texts)
         assert grown <= 50
-        # The walk numbers path strings; an AstPath is parsed when read.
-        assert table._paths == {}
-        example.contexts[0]
-        assert len(table._paths) == 1
+        # A context read carries its table's path string: no object is parsed.
+        assert example.contexts[0].path is table.texts[example.contexts.codes[0, 1]]
+
+    def test_reading_contexts_builds_no_object_per_distinct_path(self):
+        (ast,) = parse_methods(long_minij_method(np.random.default_rng(5), 200))
+        extracted = method_to_example(ast, ExtractionLimits(8, 2))
+        out = io.StringIO()
+        write_dataset([extracted], out)
+        (read,) = read_dataset(io.StringIO(out.getvalue()))
+        for example in (extracted, read):
+            assert len(example.contexts.table.texts) > 300
+            types, grown = tracked_growth(lambda: {type(ctx.path) for ctx in example.contexts})
+            assert grown <= 10 and types == {str}
 
 
 LABELS = ["getX", "setY", "run", "size"]
@@ -209,8 +230,7 @@ def example_routes(draw):
 def vocabularies(draw):
     """Vocabs over a part of the strings the examples may hold, plus strings
     they never hold: both in-vocabulary and out-of-vocabulary entries."""
-    texts = [p.text for p in (AstPath((a, b), (UP,)) for a in TERMINAL_KINDS
-                              for b in NONTERMINAL_KINDS)]
+    texts = [str(AstPath((a, b), (UP,))) for a in TERMINAL_KINDS for b in NONTERMINAL_KINDS]
 
     def vocab(pool):
         entries = draw(st.lists(st.sampled_from(pool + ["zz", "Q^R"]), unique=True, max_size=30))

@@ -11,13 +11,13 @@ from codevec.corpus import (ABLATIONS, PAD_ID, UNK_ID, RawExample, Vocab, Vocabs
                             parse_example, parse_vocabs, read_dataset, split_subtokens,
                             write_dataset)
 from codevec.errors import DatasetFormatError
-from codevec.paths import PathContext, path_from_string
+from codevec.paths import PathContext
 
 from conftest import random_path
 
 
 def ctx(source, path_string, target):
-    return PathContext(source, path_from_string(path_string), target)
+    return PathContext(source, path_string, target)
 
 
 EXAMPLE_PATH = "NameExpr^AssignExpr_IntegerLiteralExpr"
@@ -275,18 +275,19 @@ class TestDatasetFormat:
         with pytest.raises(DatasetFormatError, match=r"^line 4: malformed path string"):
             parse_example("f x,A,7", lineno=4)
 
-    def test_one_path_object_per_distinct_path_string(self):
+    def test_one_table_entry_per_distinct_path_string(self):
         lines = ["f x,A^M_B,7 y,A^M_B,8 z,A_M^B,9", "g x,A^M_B,7", "h",
                  "k x,A_M^B,9 y,B^M_A,7"]
         examples = list(read_dataset(io.StringIO("\n".join(lines) + "\n")))
-        by_text = {}
-        for ctx in (c for example in examples for c in example.contexts):
-            assert by_text.setdefault(ctx.path.text, ctx.path) is ctx.path
-        assert sorted(by_text) == ["A^M_B", "A_M^B", "B^M_A"]
-        # The memo lives for one read only.
+        (table,) = {example.contexts.table for example in examples}
+        assert list(table.texts) == ["A^M_B", "A_M^B", "B^M_A"]
+        for example in examples:
+            for code, ctx in zip(example.contexts.codes[:, 1].tolist(), example.contexts):
+                assert type(ctx.path) is str and ctx.path == table.texts[code]
+        # The table lives for one read only.
         (again,) = read_dataset(io.StringIO(lines[1]))
-        assert again.contexts[0].path == by_text["A^M_B"]
-        assert again.contexts[0].path is not by_text["A^M_B"]
+        assert again.contexts[0].path == "A^M_B"
+        assert again.contexts.table is not table
 
     def test_bare_label_round_trips(self):
         raw = RawExample("lonely", [])

@@ -14,7 +14,7 @@ from codevec.errors import ModelFormatError, TrainingError
 from codevec.model import (INIT_BLOCK, MAX_SLOTS, AttentionVariant, ModelDims, ModelParams,
                            forward, init_params, load_model, predict_topk,
                            save_model, top_k)
-from codevec.paths import PathContext, path_from_string
+from codevec.paths import PathContext
 
 from conftest import as_float64, random_encoded, save_model_with, tag_vocabs
 
@@ -367,7 +367,7 @@ class TestInferProjection:
         rng = np.random.default_rng(31)
         sources = ["s0", "s1", "s2", "s3", "v0", "v1"]
         targets = ["t0", "t1", "t2", "t3", "v0", "v1"]
-        paths = [path_from_string(f"NameExpr^Kind{i}_IntegerLiteralExpr") for i in range(6)]
+        paths = [f"NameExpr^Kind{i}_IntegerLiteralExpr" for i in range(6)]
         raws = [RawExample(f"name{i % 3}", [
             PathContext(str(rng.choice(sources)), paths[rng.integers(6)],
                         str(rng.choice(targets))) for _ in range(rng.integers(2, 13))])
@@ -413,7 +413,7 @@ class TestInferProjection:
 
 
 def tiny_vocabs():
-    path = path_from_string("NameExpr^AssignExpr_IntegerLiteralExpr")
+    path = "NameExpr^AssignExpr_IntegerLiteralExpr"
     examples = [RawExample("setX", [PathContext("x", path, "7")]),
                 RawExample("setY", [PathContext("y", path, "8")])]
     return build_vocabs(examples)

@@ -9,17 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codevec.ast_tree import Ast, AstBuilder, AstNode, read_sexpr_asts
-from codevec.corpus import RawExample, read_dataset, write_dataset
+from codevec.corpus import RawExample, parse_example, read_dataset, write_dataset
 from codevec.errors import CodevecError, DatasetFormatError
 from codevec.minij import parse_methods
 from codevec.paths import (DOWN, UP, AstPath, ExtractionLimits, PathContext,
-                           extract_path_contexts, path_from_string,
-                           path_to_string)
+                           extract_path_contexts, path_to_string)
 from codevec.pipeline import method_to_example
 
 from conftest import (NONTERMINAL_KINDS, TERMINAL_KINDS, long_minij_method,
                       oracle_path_context_list, oracle_path_contexts,
-                      random_ast, random_path)
+                      random_ast, random_path, reverse_path, split_path)
 
 
 # The tree of the statement `x = 7;`.
@@ -29,12 +28,6 @@ ASSIGNMENT = '(AssignExpr (NameExpr "x") (IntegerLiteralExpr "7"))'
 def as_triples(contexts):
     return [(c.source_value, path_to_string(c.path), c.target_value)
             for c in contexts]
-
-
-def reverse_path(path: AstPath) -> AstPath:
-    """Mirror a path: reversed kinds, flipped and reversed directions."""
-    flipped = tuple(DOWN if d == UP else UP for d in reversed(path.directions))
-    return AstPath(tuple(reversed(path.kinds)), flipped)
 
 
 def reverse_context(ctx: PathContext) -> PathContext:
@@ -106,7 +99,7 @@ class TestExtraction:
         for _ in range(40):
             ast = random_ast(rng)
             for ctx in extract_path_contexts(ast, limits):
-                directions = ctx.path.directions
+                directions = split_path(ctx.path)[1]
                 assert len(directions) <= limits.max_length
                 # ascent-then-descent: no UP after a DOWN
                 seen_down = False
@@ -254,6 +247,27 @@ class TestContextBudget:
                 method_to_example(ast, ExtractionLimits())
 
 
+# Kinds by the kind rule: pieces without '^', '_', ' ', ',', CR or LF,
+# joined by '^' and '_'.
+PIECES = st.text(st.characters(exclude_characters="^_ ,\r\n"), min_size=1, max_size=3)
+
+
+@st.composite
+def rule_kinds(draw):
+    pieces = draw(st.lists(PIECES, min_size=1, max_size=3))
+    return pieces[0] + "".join(draw(st.sampled_from("^_")) + piece for piece in pieces[1:])
+
+
+@st.composite
+def broken_kinds(draw):
+    """A kind by the rule with ' ', ',', CR or LF put in, or one that leaves
+    an empty piece when split on '^' and '_'."""
+    kind, sep = draw(rule_kinds()), draw(st.sampled_from("^_"))
+    at = draw(st.integers(0, len(kind)))
+    return draw(st.sampled_from([kind[:at] + draw(st.sampled_from(" ,\r\n")) + kind[at:],
+                                 "", sep + kind, kind + sep, kind + sep + sep + kind]))
+
+
 class TestPathStrings:
     def test_example_path(self):
         path = AstPath(("NameExpr", "AssignExpr", "IntegerLiteralExpr"),
@@ -276,14 +290,25 @@ class TestPathStrings:
         # The tree reads; its method fails, as one with a bad label does.
         (ast,) = read_sexpr_asts(f'(MethodDecl (Name "f") (Block ({kind} "x")))')
         with pytest.raises(DatasetFormatError,
-                           match=f"^kind {re.escape(repr(kind))} holds ','"):
+                           match=f"^method 'f': kind {re.escape(repr(kind))} holds ','"):
             method_to_example(ast, ExtractionLimits(8, 2))
+
+    @pytest.mark.parametrize("kind", ["A^", "", "A B", "A,B", "A\rB", "A\n"])
+    def test_walk_refuses_a_kind_that_breaks_the_rule(self, kind):
+        # Reproduction: on a tree no reader builds, the walk returned contexts
+        # whose dataset line did not read back.
+        builder = AstBuilder()
+        ast = builder.build(builder.nonterminal("Block", [
+            builder.terminal("NameExpr", "x"), builder.nonterminal(kind, [
+                builder.terminal("NameExpr", "y")])]))
+        with pytest.raises(DatasetFormatError, match=f"^kind {re.escape(repr(kind))} holds ','"):
+            extract_path_contexts(ast, ExtractionLimits(8, 2))
 
     def test_round_trip_random_paths(self):
         rng = np.random.default_rng(9)
         for _ in range(1000):
             path = random_path(rng)
-            assert path_from_string(path_to_string(path)) == path
+            assert AstPath(*split_path(path_to_string(path))) == path
 
     def test_invalid_shapes(self):
         with pytest.raises(ValueError):
@@ -291,12 +316,12 @@ class TestPathStrings:
         with pytest.raises(ValueError):
             AstPath(("A", "B"), (UP, DOWN))
 
-    def test_text_plays_no_part_in_equality_hash_or_repr(self):
+    def test_a_path_is_its_string(self):
         path = AstPath(("Name", "Block", "Name"), (UP, DOWN))
-        other = AstPath(("Name", "Block", "Name"), (UP, DOWN))
-        object.__setattr__(other, "text", "something else")
-        assert path == other and hash(path) == hash(other)
-        assert repr(path) == repr(other) and "text" not in repr(path)
+        assert isinstance(path, str) and not hasattr(path, "__dict__")
+        assert path == "Name^Block_Name" and hash(path) == hash("Name^Block_Name")
+        assert {"Name^Block_Name": 1}[path] == 1 and repr(path) == "'Name^Block_Name'"
+        assert type(path_to_string(path)) is str and path_to_string(path) == path
         assert path != AstPath(("Name", "Block", "Name"), (UP, UP))
 
     @given(st.lists(st.sampled_from(TERMINAL_KINDS + NONTERMINAL_KINDS),
@@ -311,8 +336,29 @@ class TestPathStrings:
         path = AstPath(tuple(kinds), directions)
         rendered = kinds[0] + "".join(("^" if d == UP else "_") + k
                                       for d, k in zip(directions, kinds[1:]))
-        assert path.text == path_to_string(path) == rendered
-        assert path_from_string(path.text) == path
+        assert path == path_to_string(path) == rendered
+        assert split_path(path) == (tuple(kinds), directions)
+
+    @given(st.lists(rule_kinds(), min_size=2, max_size=6), st.data())
+    @settings(max_examples=300)
+    def test_checked_rendering(self, kinds, data):
+        directions = tuple(data.draw(st.lists(st.sampled_from([UP, DOWN]),
+                                              min_size=len(kinds) - 1,
+                                              max_size=len(kinds) - 1)))
+        path = AstPath(tuple(kinds), directions)
+        rendered = kinds[0] + "".join(("^" if d == UP else "_") + k
+                                      for d, k in zip(directions, kinds[1:]))
+        assert path == rendered and hash(path) == hash(rendered)
+        if not any("^" in kind or "_" in kind for kind in kinds):
+            assert split_path(path) == (tuple(kinds), directions)
+        at, bad = data.draw(st.integers(0, len(kinds) - 1)), data.draw(broken_kinds())
+        with pytest.raises(DatasetFormatError, match=f"^kind {re.escape(repr(bad))} holds"):
+            AstPath((*kinds[:at], bad, *kinds[at + 1:]), directions)
+        steps = data.draw(st.integers(0, len(kinds) + 1).filter(lambda n: n != len(kinds) - 1))
+        with pytest.raises(ValueError):
+            AstPath(tuple(kinds), (UP,) * steps)
+        with pytest.raises(ValueError):
+            AstPath(tuple(kinds[:1]), ())
 
 
 # Legal kinds whose path text does not split back into them, so a path's
@@ -329,8 +375,8 @@ def splice(ast: Ast) -> Ast:
 
 class TestPathConstruction:
     """The walk and the reader number paths by their strings, and a path is
-    what its string reads back as: the AstPath that AstPath(kinds,
-    directions) of that parse checks and renders."""
+    its string: the one that AstPath(kinds, directions) of its parse checks
+    and renders."""
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(0, 3))
     @settings(max_examples=100, deadline=None)
@@ -342,11 +388,9 @@ class TestPathConstruction:
         assert len(plain) == len(odd)
         for a, b in zip(plain, odd):
             assert (b.source_value, b.target_value) == (a.source_value, a.target_value)
-            assert b.path.text == re.sub(r"[^\^_]+", lambda m: SPLICED[m[0]], a.path.text)
+            assert b.path == re.sub(r"[^\^_]+", lambda m: SPLICED[m[0]], a.path)
             for path in (a.path, b.path):
-                parsed = path_from_string(path.text)
-                checked = AstPath(parsed.kinds, parsed.directions)
-                assert path == parsed == checked and path.text == checked.text
+                assert type(path) is str and AstPath(*split_path(path)) == path
 
     def test_paths_with_one_text_share_one_code(self):
         # Both paths render NameExpr^Block^Call_NameExpr.
@@ -364,8 +408,8 @@ class TestPathConstruction:
         first, second = pairs.index(("a", "b")), pairs.index(("c", "d"))
         assert contexts.codes[first, 1] == contexts.codes[second, 1]
         assert contexts[first].path is contexts[second].path
-        assert contexts[first].path.text == "NameExpr^Block^Call_NameExpr"
-        assert contexts[first].path.kinds == ("NameExpr", "Block", "Call", "NameExpr")
+        assert contexts[first].path == "NameExpr^Block^Call_NameExpr"
+        assert split_path(contexts[first].path)[0] == ("NameExpr", "Block", "Call", "NameExpr")
         assert len(set(contexts.table.texts)) == len(contexts.table.texts)
 
     def test_example_from_a_kind_with_an_underscore_rebuilds(self):
@@ -375,8 +419,7 @@ class TestPathConstruction:
         (ast,) = read_sexpr_asts('(MethodDecl (Type "int") (Name "getX") (method_declaration '
                                  '(Return (NameExpr "x")) (NameExpr "y")))')
         example = method_to_example(ast, ExtractionLimits())
-        assert example.contexts[0].path == path_from_string(
-            "Type^MethodDecl_method_declaration_Return_NameExpr")
+        assert example.contexts[0].path == "Type^MethodDecl_method_declaration_Return_NameExpr"
         rebuilt = RawExample(example.label, list(example.contexts))
         assert rebuilt == example and example == rebuilt
 
@@ -394,12 +437,11 @@ class TestPathConstruction:
     @settings(max_examples=300)
     def test_read_path_keeps_its_string(self, text):
         try:
-            path = path_from_string(text)
+            (ctx,) = parse_example(f"f x,{text},y").contexts
         except DatasetFormatError:
             return
-        assert path.text == text
-        checked = AstPath(path.kinds, path.directions)
-        assert path == checked and checked.text == text
+        assert type(ctx.path) is str and ctx.path == text
+        assert AstPath(*split_path(text)) == text
 
     def test_context_is_a_slotted_record(self):
         (ast,) = read_sexpr_asts(ASSIGNMENT)
@@ -423,11 +465,10 @@ def paths(draw):
 
 class TestReverse:
     def test_simple_mirror(self):
-        path = path_from_string("A^P_B")
-        assert path_to_string(reverse_path(path)) == "B^P_A"
+        assert path_to_string(reverse_path("A^P_B")) == "B^P_A"
 
     def test_example_path_reversed(self):
-        path = path_from_string("NameExpr^AssignExpr_IntegerLiteralExpr")
+        path = "NameExpr^AssignExpr_IntegerLiteralExpr"
         assert (path_to_string(reverse_path(path))
                 == "IntegerLiteralExpr^AssignExpr_NameExpr")
 

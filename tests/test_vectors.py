@@ -4,7 +4,7 @@ import pytest
 from codevec.corpus import PAD_ID, UNK_ID, RawExample, build_vocabs
 from codevec.errors import VectorQueryError
 from codevec.model import AttentionVariant, ModelDims, init_params
-from codevec.paths import PathContext, path_from_string
+from codevec.paths import PathContext
 from codevec.vectors import NameVectorTable, cosine, sum_of_cosines_ranking
 
 from conftest import tag_vocabs
@@ -178,7 +178,7 @@ class TestTies:
 
 class TestTableConstruction:
     def test_from_params_skips_pad_unk(self):
-        examples = [RawExample(label, [PathContext("x", path_from_string("A^M_B"), "7")])
+        examples = [RawExample(label, [PathContext("x", "A^M_B", "7")])
                     for label in ("getX", "setX", "isX")]
         vocabs = build_vocabs(examples)
         dims = ModelDims(4, len(vocabs.values), len(vocabs.paths),
@@ -190,7 +190,7 @@ class TestTableConstruction:
         assert vocabs.tags.entry(UNK_ID) not in table.names
 
     def test_zero_norm_row_excluded(self):
-        examples = [RawExample(label, [PathContext("x", path_from_string("A^M_B"), "7")])
+        examples = [RawExample(label, [PathContext("x", "A^M_B", "7")])
                     for label in ("getX", "setX")]
         vocabs = build_vocabs(examples)
         dims = ModelDims(4, len(vocabs.values), len(vocabs.paths),
