@@ -5,9 +5,11 @@ masking), the line-based dataset format, and sub-token splitting.
 from __future__ import annotations
 
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
@@ -34,9 +36,20 @@ class Vocab:
     """Frequency-ranked index map with reserved PAD=0 and UNK=1 ids."""
 
     def __init__(self, entries_with_counts: list[tuple[str, int]]):
-        self.entries = [PAD_TOKEN, UNK_TOKEN] + [e for e, _ in entries_with_counts]
-        self.counts = [0, 0] + [c for _, c in entries_with_counts]
-        self._index = {e: i for i, e in enumerate(self.entries)}
+        self._fill(list(map(itemgetter(0), entries_with_counts)),
+                   list(map(itemgetter(1), entries_with_counts)))
+
+    @classmethod
+    def from_columns(cls, entries: list[str], counts: list[int]) -> "Vocab":
+        """The vocabulary of `entries`, ranked in that order, with their counts."""
+        vocab = cls.__new__(cls)
+        vocab._fill(entries, counts)
+        return vocab
+
+    def _fill(self, entries: list[str], counts: list[int]) -> None:
+        self.entries = [PAD_TOKEN, UNK_TOKEN, *entries]
+        self.counts = [0, 0, *counts]
+        self._index = dict(zip(self.entries, range(len(self.entries))))
         if len(self._index) != len(self.entries):
             raise DatasetFormatError("duplicate vocabulary entry")
 
@@ -86,7 +99,7 @@ def _checked_contexts(label: str, contexts: Iterable[PathContext]) -> Contexts:
             read = parse_example(f"{label} {chunk}", table=table).contexts
         except DatasetFormatError:
             read = None
-        if read != [ctx] or _LABEL_BREAK_RE.search(chunk):
+        if read != [ctx]:
             raise DatasetFormatError(f"example {label!r}: context {chunk!r} does not read back")
         codes.append(read.codes)
     table.seal()
@@ -260,8 +273,11 @@ def parse_example(line: str, lineno: int = 0, table: SymbolTable | None = None) 
         raise DatasetFormatError(f"line {lineno}: empty label")
     chunks = rest.split(" ") if space else []
     pieces = rest.replace(" ", ",").split(",") if chunks else []
-    if chunks and (set(map(str.count, chunks, repeat(","))) != {2} or "" in pieces):
-        bad = next(c for c in chunks if c.count(",") != 2 or "" in c.split(","))
+    # A CR or LF would split the line when it is written and read back.
+    if chunks and (set(map(str.count, chunks, repeat(","))) != {2} or "" in pieces
+                   or "\r" in rest or "\n" in rest):
+        bad = next(c for c in chunks if c.count(",") != 2 or "" in c.split(",")
+                   or "\r" in c or "\n" in c)
         raise DatasetFormatError(f"line {lineno}: malformed context {bad!r}")
     value_codes, path_codes = table.value_codes, table.path_codes
     codes = np.empty((len(chunks), 3), np.int32)
@@ -321,6 +337,7 @@ def load_dataset(path: str) -> list[RawExample]:
 # value / path / tag. Reserved PAD and UNK entries are implicit.
 
 _KIND_ORDER = ("value", "path", "tag")
+_POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)
 
 
 def format_vocabs(vocabs: Vocabs) -> str:
@@ -334,22 +351,84 @@ def format_vocabs(vocabs: Vocabs) -> str:
 
 
 def parse_vocabs(text: str) -> Vocabs:
-    """Inverse of format_vocabs: LF-split lines, each cut at its first and last tab."""
-    buckets: dict[str, list[tuple[str, int]]] = {k: [] for k in _KIND_ORDER}
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line:
-            continue
-        kind, _, rest = line.partition("\t")
-        entry, tab, count_text = rest.rpartition("\t")
-        if not tab or kind not in buckets:
-            raise DatasetFormatError(f"vocab line {lineno}: malformed entry")
-        try:
-            count = int(count_text)
-            if str(count) != count_text:  # only the digits format_vocabs writes
-                raise ValueError(count_text)
-        except ValueError:
-            raise DatasetFormatError(f"vocab line {lineno}: bad count") from None
-        buckets[kind].append((entry, count))
-    return Vocabs(values=Vocab(buckets["value"]), paths=Vocab(buckets["path"]),
-                  tags=Vocab(buckets["tag"]))
+    """Inverse of format_vocabs: LF-split lines, each cut at its first and last
+    tab, with no Python statement per line."""
+    kind, entries, counts = _vocab_columns(text)
+    if (kind[1:] < kind[:-1]).any():  # kinds interleaved: group them, in line order
+        order = np.argsort(kind, kind="stable")
+        kind = kind[order]
+        entries = np.array(entries, object)[order].tolist()
+        counts = np.array(counts, object)[order].tolist()
+    bounds = np.searchsorted(kind, np.arange(len(_KIND_ORDER) + 1)).tolist()
+    values, paths, tags = (Vocab.from_columns(entries[a:b], counts[a:b])
+                           for a, b in zip(bounds, bounds[1:]))
+    return Vocabs(values=values, paths=paths, tags=tags)
 
+
+def _vocab_columns(text: str) -> tuple[np.ndarray, list[str], list[int]]:
+    """Each line's kind code, entry and count. The block's UTF-8 bytes are
+    checked as arrays, and the entries cut by one split; the arrays are
+    freed before the caller builds the vocabularies."""
+    data = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+    # Every tab and LF in block order, then an LF past the end for the last line.
+    marks = np.flatnonzero(data < 11)
+    marks = np.append(marks[data[marks] >= 9], len(data))
+    breaks = np.flatnonzero(data[marks[:-1]] == 10)  # the marks that end a line
+    ends = np.append(breaks, len(marks) - 1)
+    opens = np.concatenate(([-1], breaks))  # the mark before each line
+    starts, tab_count = marks[opens] + 1, ends - opens - 1
+    starts[0] = 0
+    lines = np.flatnonzero(marks[ends] > starts)  # empty lines are skipped
+    starts, tab_count = starts[lines], tab_count[lines]
+    first, last, ends = marks[opens[lines] + 1], marks[ends[lines] - 1], marks[ends[lines]]
+    malformed = tab_count < 2
+    kind = np.full(len(lines), -1)
+    for code, name in enumerate(_KIND_ORDER):
+        rows = np.flatnonzero(first - starts == len(name))
+        for offset, byte in enumerate(name.encode()):
+            rows = rows[data[starts[rows] + offset] == byte]
+        kind[rows] = code
+    malformed |= kind < 0
+    written, counts = _read_counts(data, np.where(malformed, ends, last + 1), ends)
+    if (malformed | ~written).any():
+        at = np.flatnonzero(malformed | ~written)[0]
+        what = "malformed entry" if malformed[at] else "bad count"
+        raise DatasetFormatError(f"vocab line {lines[at] + 1}: {what}")
+    # Each line's first and last tab become LF and each LF a tab: then the
+    # entries, a tab inside one kept, are every other field of one split,
+    # and the rest of a line, its count and the next line's kind, one field.
+    cut = data.copy()
+    cut[marks[breaks]] = 9
+    cut[first] = cut[last] = 10
+    return kind, str(cut.data, "utf-8", "surrogatepass").split("\n")[1::2], counts
+
+
+def _read_counts(data: np.ndarray, starts: np.ndarray,
+                 ends: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Whether each `data[start:end]` is a count as `str(int)` writes it,
+    `0` or `-?[1-9][0-9]*` within int()'s digit limit, and, when all are,
+    their values. Only the count bytes are read."""
+    widths = ends - starts
+    offsets = np.cumsum(widths) - widths
+    at = np.arange(widths.sum()) + np.repeat(starts - offsets, widths)
+    digit = data[at] - ord("0")  # uint8: a byte below "0" wraps past 9
+    nondigit = digit > 9
+    nondigits = np.concatenate(([0], np.cumsum(nondigit)))
+    nondigits = nondigits[offsets + widths] - nondigits[offsets]
+    sign = (widths > 0) & (data[np.minimum(starts, len(data) - 1)] == ord("-"))
+    digits = widths - sign
+    lead = data[np.minimum(starts + sign, len(data) - 1)]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or np.inf
+    written = ((digits >= 1) & (digits <= limit) & (nondigits == sign)
+               & ((lead != ord("0")) | (digits == 1) & ~sign))
+    if not len(at) or not written.all():
+        return written, []
+    # The sum of digit * 10^place over each count is exact up to 18 digits;
+    # a longer count is read by int().
+    digit[nondigit] = 0
+    place = np.minimum(np.repeat(ends - 1, widths) - at, 18)
+    values = np.add.reduceat(digit * _POWERS_OF_TEN[place], offsets)
+    counts = np.where(sign, -values, values).tolist()
+    for i in np.flatnonzero(digits > 18).tolist():
+        counts[i] = int(data[starts[i]:ends[i]].tobytes())
+    return written, counts

@@ -6,6 +6,10 @@ Every intermediate is exposed for backprop and inspection.
 
 from __future__ import annotations
 
+import io
+import math
+import os
+import stat
 import struct
 from dataclasses import astuple, dataclass, replace
 from enum import Enum
@@ -301,47 +305,55 @@ def save_model(path: str, params: ModelParams, vocabs: Vocabs) -> None:
             handle.write(np.ascontiguousarray(matrix, dtype="<f4").tobytes())
 
 
+def _read_matrix(handle: io.BufferedIOBase, shape: tuple[int, ...]) -> np.ndarray:
+    """The next row-major little-endian float32 matrix of `handle`, read in place."""
+    matrix = np.empty(shape, "<f4")
+    if handle.readinto(matrix.reshape(-1).view(np.uint8)) != matrix.nbytes:
+        raise ModelFormatError("truncated matrix data")
+    return matrix.astype(np.float32, copy=False)
+
+
 def load_model(path: str) -> tuple[ModelParams, Vocabs]:
-    with open(path, "rb") as handle:
-        data = handle.read()
-    if data[:4] != MAGIC:
-        raise ModelFormatError("bad magic; not a codevec model file")
-    try:
-        code, d, nx, np_, ny, k_max, bits = struct.unpack_from("<7I", data, 4)
-        if bits >= 8:
-            raise ModelFormatError(f"unknown ablation bits {bits}")
-        (blob_len,) = struct.unpack_from("<I", data, 32)
-        blob = data[36:36 + blob_len]
-        if len(blob) != blob_len:
-            raise ModelFormatError("truncated vocabulary block")
-        vocabs = parse_vocabs(blob.decode("utf-8"))
-        variant = _CODE_VARIANTS.get(code)
-        if variant is None:
-            raise ModelFormatError(f"unknown variant code {code}")
-        dims = ModelDims(d, nx, np_, ny, k_max)
-        if (len(vocabs.values), len(vocabs.paths), len(vocabs.tags)) != (nx, np_, ny):
-            raise ModelFormatError("vocabulary sizes disagree with header")
-
-        offset = 36 + blob_len
-
-        def take(shape):
-            nonlocal offset
-            count = int(np.prod(shape))
-            if offset + 4 * count > len(data):
+    """The model and vocabularies of a model file. Every size is checked
+    against the header and the file's size before anything is allocated;
+    each matrix is then read in place."""
+    with open(path, "rb") as file:
+        status = os.fstat(file.fileno())
+        if stat.S_ISREG(status.st_mode):
+            handle, size = file, status.st_size
+        else:  # a pipe, whose size is known once it is read whole
+            data = file.read()
+            handle, size = io.BytesIO(data), len(data)
+        head = handle.read(36)
+        if head[:4] != MAGIC:
+            raise ModelFormatError("bad magic; not a codevec model file")
+        try:
+            code, d, nx, np_, ny, k_max, bits = struct.unpack_from("<7I", head, 4)
+            if bits >= 8:
+                raise ModelFormatError(f"unknown ablation bits {bits}")
+            (blob_len,) = struct.unpack_from("<I", head, 32)
+            if 36 + blob_len > size:
+                raise ModelFormatError("truncated vocabulary block")
+            vocabs = parse_vocabs(handle.read(blob_len).decode("utf-8"))
+            variant = _CODE_VARIANTS.get(code)
+            if variant is None:
+                raise ModelFormatError(f"unknown variant code {code}")
+            dims = ModelDims(d, nx, np_, ny, k_max)
+            if (len(vocabs.values), len(vocabs.paths), len(vocabs.tags)) != (nx, np_, ny):
+                raise ModelFormatError("vocabulary sizes disagree with header")
+            shapes = _shapes(dims, variant)
+            end = 36 + blob_len + 4 * sum(map(math.prod, shapes.values()))
+            if end > size:
                 raise ModelFormatError("truncated matrix data")
-            arr = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
-            offset += 4 * count
-            return arr.reshape(shape).astype(np.float32)
-
-        groups = {name: take(shape) for name, shape in _shapes(dims, variant).items()}
-        if offset != len(data):
-            raise ModelFormatError("trailing bytes after matrices")
-        for name, matrix in groups.items():
-            if not np.isfinite(matrix).all():
-                raise ModelFormatError(f"non-finite values in {name}")
-    except struct.error as exc:
-        raise ModelFormatError(f"truncated model file: {exc}") from None
-    except ValueError as exc:  # header dimensions, or a vocabulary block not in UTF-8
-        raise ModelFormatError(f"bad model file: {exc}") from None
+            if end < size:
+                raise ModelFormatError("trailing bytes after matrices")
+            groups = {name: _read_matrix(handle, shape) for name, shape in shapes.items()}
+        except struct.error as exc:
+            raise ModelFormatError(f"truncated model file: {exc}") from None
+        except ValueError as exc:  # header dimensions, or a vocabulary block not in UTF-8
+            raise ModelFormatError(f"bad model file: {exc}") from None
+    for name, matrix in groups.items():  # min and max propagate NaN: no temporary array
+        if not np.isfinite([matrix.min(), matrix.max()]).all():
+            raise ModelFormatError(f"non-finite values in {name}")
     ablation = AblationMask(*(bool(bits >> i & 1) for i in range(3)))
     return ModelParams(dims, variant, **{"W": None, **groups}, ablation=ablation), vocabs

@@ -10,8 +10,9 @@ from dataclasses import replace
 import numpy as np
 
 from codevec.ast_tree import Ast, AstBuilder, normalize_value
-from codevec.corpus import (PAD_ID, UNK_ID, AblationMask, EncodedExample, Vocab, Vocabs,
-                            example_rng, stack_examples)
+from codevec.corpus import (_KIND_ORDER, PAD_ID, UNK_ID, AblationMask, EncodedExample,
+                            Vocab, Vocabs, example_rng, stack_examples)
+from codevec.errors import DatasetFormatError
 from codevec.model import ModelDims, save_model
 from codevec.paths import AstPath, DOWN, UP, ExtractionLimits
 
@@ -254,6 +255,28 @@ def tag_vocabs(num_tags: int) -> Vocabs:
     empty: only the tag names are read."""
     return Vocabs(Vocab([]), Vocab([]),
                   Vocab([(f"tag{i}", 1) for i in range(2, num_tags)]))
+
+
+def reference_parse_vocabs(text: str) -> Vocabs:
+    """`corpus.parse_vocabs` as a loop over lines: the reference that the
+    array parser must agree with, entry, count and error message alike."""
+    buckets: dict[str, list[tuple[str, int]]] = {k: [] for k in _KIND_ORDER}
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line:
+            continue
+        kind, _, rest = line.partition("\t")
+        entry, tab, count_text = rest.rpartition("\t")
+        if not tab or kind not in buckets:
+            raise DatasetFormatError(f"vocab line {lineno}: malformed entry")
+        try:
+            count = int(count_text)
+            if str(count) != count_text:  # only the digits format_vocabs writes
+                raise ValueError(count_text)
+        except ValueError:
+            raise DatasetFormatError(f"vocab line {lineno}: bad count") from None
+        buckets[kind].append((entry, count))
+    return Vocabs(values=Vocab(buckets["value"]), paths=Vocab(buckets["path"]),
+                  tags=Vocab(buckets["tag"]))
 
 
 def as_float64(params):

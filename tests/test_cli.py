@@ -6,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -270,17 +271,29 @@ class TestTrainPredictEval:
     def test_method_past_the_context_budget_is_data_error(self, command, tmp_path, request):
         # 3000 x 3000 right pairs under the `+`: about 9M contexts, which the
         # walk stops short of. A child process reports the time main() took
-        # and its own peak RSS.
-        resource = pytest.importorskip("resource")
+        # and its own peak RSS, in KiB: its VmHWM, as Linux's ru_maxrss
+        # survives exec and so holds the peak of the pytest process too.
+        pytest.importorskip("resource")
         src = tmp_path / "wide.mj"
         src.write_text("int f() { return g(%s) + h(%s); }\n"
                        % (", ".join(f"x{i}" for i in range(3000)),
                           ", ".join(f"y{i}" for i in range(3000))), encoding="utf-8")
-        script = ("import resource, sys, time; from codevec.cli import main; "
-                  "start = time.perf_counter(); code = main(sys.argv[1:]); "
-                  "print(time.perf_counter() - start, "
-                  "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); "
-                  "sys.exit(code)")
+        script = textwrap.dedent("""
+            import resource, sys, time
+            from codevec.cli import main
+            start = time.perf_counter()
+            code = main(sys.argv[1:])
+            seconds = time.perf_counter() - start
+            try:
+                with open("/proc/self/status") as status:
+                    peak = next(int(line.split()[1]) for line in status
+                                if line.startswith("VmHWM:"))
+            except (OSError, StopIteration):
+                peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                peak //= 1024 if sys.platform == "darwin" else 1
+            print(seconds, peak, file=sys.stderr)
+            sys.exit(code)
+            """)
         argv = (["extract", str(src), "-o", str(tmp_path / "o.c2v")] if command == "extract"
                 else ["predict", "--model", str(request.getfixturevalue("model_file")), str(src)])
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
@@ -292,7 +305,7 @@ class TestTrainPredictEval:
         assert re.search(rf"^{re.escape(str(src))}: method 'f': (\d+) path-contexts, more than "
                          rf"the {MAX_CONTEXTS} allowed per method$", done.stderr, re.M)
         seconds, peak = done.stderr.splitlines()[-1].split()
-        peak_mb = int(peak) / (1 << (20 if sys.platform == "darwin" else 10))
+        peak_mb = int(peak) / 1024
         assert float(seconds) < 1.0 and peak_mb < 100, done.stderr
 
     def test_train_logs_epochs(self, dataset_file, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import io
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from codevec.corpus import (ABLATIONS, PAD_ID, UNK_ID, RawExample, Vocab, Vocabs
 from codevec.errors import DatasetFormatError
 from codevec.paths import PathContext
 
-from conftest import random_path
+from conftest import random_path, reference_parse_vocabs
 
 
 def ctx(source, path_string, target):
@@ -245,6 +246,23 @@ class TestDatasetFormat:
                            match=r"^line 2: label 'getY\\r' holds a space, CR or LF$"):
             list(read_dataset(["getX x,A^B,y\n", "getY\r x,A^B,y\n"]))
 
+    @pytest.mark.parametrize("make", [io.StringIO, lambda text: text.split("\n")],
+                             ids=["StringIO", "list"])
+    def test_cr_in_a_context_names_its_line(self, make):
+        # Reproduction: a stream that keeps CR read this context, which
+        # RawExample refuses and a text-mode read of its written line splits.
+        with pytest.raises(DatasetFormatError) as raised:
+            list(read_dataset(make("g x,A^B,y\nf a\x0bz,A\rB^C,b\n")))
+        assert str(raised.value) == "line 2: malformed context 'a\\x0bz,A\\rB^C,b'"
+        with pytest.raises(DatasetFormatError) as raised:
+            list(read_dataset(make("f x,A^B,y\r\n")))
+        assert str(raised.value) == "line 1: malformed context 'x,A^B,y\\r'"
+
+    def test_lf_in_a_context_of_a_list_names_its_line(self):
+        with pytest.raises(DatasetFormatError) as raised:
+            list(read_dataset(["g x,A^B,y", "f a\nz,A^B,b"]))
+        assert str(raised.value) == "line 2: malformed context 'a\\nz,A^B,b'"
+
     def test_file_not_utf8(self, tmp_path):
         path = tmp_path / "bad.c2v"
         path.write_bytes(b"getX x,NameExpr^Return,y\nget\xff\n")
@@ -294,6 +312,49 @@ class TestDatasetFormat:
         assert parse_example(format_example(raw)) == raw
 
 
+# Counts near the grammar `0|-?[1-9][0-9]*`, most of them outside it.
+ODD_COUNTS = ["0", "-3", "-0", "00", "01", "-01", "+1", "1_0", "\u0661", "", "-", " 1", "1 ",
+              "7\r"]
+
+
+@st.composite
+def vocab_blocks(draw):
+    """Vocabulary blocks near the grammar: interleaved kinds, empty lines,
+    entries holding tabs, CR, U+2028 or non-ASCII text, and duplicates; in
+    half of them, counts, kinds and tab counts that the grammar refuses."""
+    entries = st.text(st.characters(blacklist_characters="\n", blacklist_categories=("Cs",)),
+                      max_size=5) | st.sampled_from(
+        ["x", "a\tb", "\t", "c\r", "d\u2028e", "é", "日本", "<UNK>"])
+    kinds = st.sampled_from(["value", "path", "tag"])
+    good = st.builds("{}\t{}\t{}".format, kinds, entries, st.integers(-10**20, 10**20))
+    line = st.one_of(good, good, good, st.just(""))
+    if draw(st.booleans()):
+        counts = st.sampled_from(ODD_COUNTS)
+        kinds |= st.sampled_from(["", "val", "tags", "Value", "value ", "x"])
+        line |= st.builds("{}\t{}\t{}".format, kinds, entries, counts) | st.builds(
+            "{}\t{}".format, kinds, entries) | entries
+    lines = draw(st.lists(line, max_size=10))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+def assert_parses_as_the_reference(text: str) -> None:
+    """parse_vocabs gives the reference's entries, counts and ids, or raises
+    its error message."""
+    try:
+        expected = reference_parse_vocabs(text)
+    except DatasetFormatError as exc:
+        with pytest.raises(DatasetFormatError) as raised:
+            parse_vocabs(text)
+        assert str(raised.value) == str(exc)
+        return
+    got = parse_vocabs(text)
+    for name in ("values", "paths", "tags"):
+        vocab, reference = getattr(got, name), getattr(expected, name)
+        assert (vocab.entries, vocab.counts) == (reference.entries, reference.counts)
+        probes = reference.entries + ["absent", "x\t"]
+        assert list(map(vocab.id_of, probes)) == list(map(reference.id_of, probes))
+
+
 class TestVocabFormat:
     def test_round_trip(self):
         examples = [RawExample("getX", [ctx("x", EXAMPLE_PATH, "7"),
@@ -325,10 +386,28 @@ class TestVocabFormat:
         kinds = [[(e, c) for e, c in entries if e not in ("<PAD>", "<UNK>")]
                  for entries in kinds]
         vocabs = Vocabs(*map(Vocab, kinds))
-        again = parse_vocabs(format_vocabs(vocabs))
+        text = format_vocabs(vocabs)
+        again = parse_vocabs(text)
         for name in ("values", "paths", "tags"):
             got, expected = getattr(again, name), getattr(vocabs, name)
             assert (got.entries, got.counts) == (expected.entries, expected.counts)
+        assert format_vocabs(again) == text
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_parses_as_the_line_parser_does(self, data):
+        assert_parses_as_the_reference(data.draw(vocab_blocks()))
+
+    @pytest.mark.parametrize("count", ODD_COUNTS)
+    def test_count_parses_as_the_line_parser_does(self, count):
+        assert_parses_as_the_reference(f"value\ty\t4\n\npath\tx\t{count}\ntag\tz\t5")
+
+    def test_count_at_and_past_the_digit_limit(self):
+        # int() refuses a count of more digits than its limit (4300 by default).
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+        for digits in (limit, limit + 1, 19, 18):
+            assert_parses_as_the_reference(f"value\tx\t3\ntag\ty\t-{'7' * digits}\n"
+                                           f"tag\tz\t{'9' * digits}\n")
 
     def test_malformed_line(self):
         with pytest.raises(DatasetFormatError):

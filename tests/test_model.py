@@ -1,6 +1,8 @@
 import itertools
 import math
+import os
 import struct
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -8,8 +10,8 @@ import numpy as np
 import pytest
 
 from codevec.corpus import (ABLATIONS, PAD_ID, AblationMask, EncodedExample,
-                            RawExample, build_vocabs, encode_example, example_rng,
-                            stack_examples)
+                            RawExample, Vocab, Vocabs, build_vocabs, encode_example,
+                            example_rng, stack_examples)
 from codevec.errors import ModelFormatError, TrainingError
 from codevec.model import (INIT_BLOCK, MAX_SLOTS, AttentionVariant, ModelDims, ModelParams,
                            forward, init_params, load_model, predict_topk,
@@ -442,6 +444,62 @@ class TestSerialization:
         assert second.read_bytes() == first.read_bytes()
         bits = struct.unpack_from("<I", first.read_bytes(), 28)[0]
         assert bits == hide[0] + 2 * hide[1] + 4 * hide[2]
+
+    @pytest.mark.parametrize("offset,value,message", [
+        (8, 2**32 - 1, "truncated matrix data"),
+        (32, 2**32 - 256, "truncated vocabulary block")], ids=["d", "blob_len"])
+    def test_sizes_checked_before_anything_is_allocated(self, tmp_path, offset, value,
+                                                         message):
+        # A small file whose header declares gigabytes, in d or in the
+        # vocabulary block's length, fails before such a size is allocated.
+        params, vocabs = self.make_model(AttentionVariant.SOFT)
+        path = tmp_path / "model.bin"
+        save_model(str(path), params, vocabs)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<I", data, offset, value)
+        path.write_bytes(bytes(data))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelFormatError, match=f"^{message}$"):
+                load_model(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(data) < 1000 and peak < 1 << 20
+
+    def test_load_holds_about_one_copy_of_the_model(self, tmp_path):
+        # Each matrix is read in place: no bytes of the whole file beside a
+        # copy of every matrix.
+        entries = [(f"entry{i}", 1) for i in range(2000)]
+        vocabs = Vocabs(Vocab(entries), Vocab(entries), Vocab(entries[:500]))
+        dims = ModelDims(128, len(vocabs.values), len(vocabs.paths), len(vocabs.tags), 5)
+        path = tmp_path / "model.bin"
+        save_model(str(path), init_params(dims, AttentionVariant.SOFT, 0), vocabs)
+        tracemalloc.start()
+        try:
+            load_model(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.4 * path.stat().st_size
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_model_read_from_a_pipe(self, tmp_path):
+        # A pipe has no size to check the header against until it is read.
+        params, vocabs = self.make_model(AttentionVariant.SOFT)
+        path, pipe = tmp_path / "model.bin", tmp_path / "pipe"
+        save_model(str(path), params, vocabs)
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_bytes, args=(path.read_bytes(),))
+        writer.start()
+        try:
+            loaded, loaded_vocabs = load_model(str(pipe))
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        for name, matrix in params.groups().items():
+            assert np.array_equal(loaded.groups()[name], matrix)
+        assert loaded_vocabs.tags.entries == vocabs.tags.entries
 
     def test_init_params_ablation_defaults_to_full(self):
         params, _ = self.make_model(AttentionVariant.SOFT)
